@@ -40,7 +40,9 @@ def main() -> None:
             colours=colours, trials=5, moves=(move,), precision=24,
             seed=1, n_slices=4, max_strands=6)
         n_ok = sum(r.ok for r in reports)
-        print(f"  {move.value:26s} {n_ok}/{len(reports)} ok")
+        notes = "; ".join(r.detail for r in reports if not r.ok)
+        print(f"  {move.value:26s} {n_ok}/{len(reports)} ok"
+              + (f"  ({notes})" if notes else ""))
 
 
 if __name__ == "__main__":

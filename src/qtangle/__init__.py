@@ -1,9 +1,9 @@
 """Exact computation of coloured tangle invariants for quantum sl2.
 
-The core pipeline parses coloured oriented framed tangle diagrams, cables
-coloured strands into parallel colour-1 strands sandwiched between
-inclusions and Jones-Wenzl projections, and evaluates the result to an
-exact truncated Laurent series over Q.  Companion modules verify the
+The core pipeline parses coloured oriented framed tangle diagrams and
+evaluates them on tensor products of the coloured modules V_m, slice by
+slice, to exact truncated Laurent series over Q; a cabled evaluation with
+Jones-Wenzl projections serves as the reference.  Companion modules verify the
 desk-scale categorified computations this invariant decategorifies:
 Grassmannian cohomology with its free bimodule resolution, the nil-Hecke
 relations, quiver-algebra projector complexes, and the Ext/Poincare series

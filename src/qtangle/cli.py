@@ -96,6 +96,12 @@ def _check_lines(checks: list[dict]) -> list[str]:
     return out
 
 
+def _invalid(command: str, message: str) -> int:
+    """One line on stderr for input the command cannot run with."""
+    print(f"{command}: {message}", file=sys.stderr)
+    return EXIT_VALIDATE
+
+
 def _table_lines(title: str, table: dict[tuple[int, int], Fraction]) -> list[str]:
     lines = [title]
     by_h: dict[int, dict[int, Fraction]] = {}
@@ -111,12 +117,17 @@ def _table_lines(title: str, table: dict[tuple[int, int], Fraction]) -> list[str
 
 def _cmd_eval(args) -> int:
     try:
-        with open(args.file, encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            raw = fh.read()
     except OSError as e:
         print(f"eval: {e}", file=sys.stderr)
         return EXIT_VALIDATE
     try:
+        try:
+            text = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"input is not UTF-8 ({e.reason} at byte "
+                             f"{e.start})", raw.count(b"\n", 0, e.start) + 1)
         d = parse(text, name=os.path.basename(args.file))
         top = validate(d)
     except ParseError as e:
@@ -125,8 +136,7 @@ def _cmd_eval(args) -> int:
     except ValidationError as e:
         print(f"eval: validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATE
-    mode = Mode.GLOBAL if args.mode == "global" else Mode.SLICED
-    res = normalized_invariant(d, args.precision, mode)
+    res = normalized_invariant(d, args.precision, Mode(args.mode))
     is_link = not d.bottom and not top
     report = {
         "command": "eval",
@@ -157,9 +167,11 @@ def _cmd_verify_invariance(args) -> int:
     try:
         moves = tuple(_MOVES[m.strip()] for m in args.moves.split(","))
     except KeyError as e:
-        print(f"verify invariance: unknown move {e}; choose from "
-              + ", ".join(sorted(_MOVES)), file=sys.stderr)
-        return EXIT_VALIDATE
+        return _invalid("verify invariance", f"unknown move {e}; choose from "
+                        + ", ".join(sorted(_MOVES)))
+    for flag, value in (("--trials", args.trials), ("--colours", args.colours)):
+        if value < 1:
+            return _invalid("verify invariance", f"{flag} must be >= 1")
     repro = (f"qtangle verify invariance --moves {args.moves} "
              f"--colours {args.colours} --trials {args.trials} "
              f"--seed {args.seed} --precision {args.precision} "
@@ -191,6 +203,8 @@ def _cmd_verify_invariance(args) -> int:
 
 
 def _cmd_verify_jones_wenzl(args) -> int:
+    if args.n < 1:
+        return _invalid("verify jones-wenzl", "--n must be >= 1")
     checks = []
     for n in range(1, args.n + 1):
         repro = f"qtangle verify jones-wenzl --n {n} --precision {args.precision}"
@@ -207,6 +221,8 @@ def _cmd_verify_jones_wenzl(args) -> int:
 
 
 def _cmd_verify_slides(args) -> int:
+    if args.n < 1:
+        return _invalid("verify slides", "--n must be >= 1")
     checks = []
     for n in range(1, args.n + 1):
         for k in range(1, n + 1):
@@ -223,8 +239,7 @@ def _cmd_verify_slides(args) -> int:
 
 def _cmd_grassmann(args) -> int:
     if not 0 < args.k < args.n:
-        print("grassmann: need 0 < k < n", file=sys.stderr)
-        return EXIT_VALIDATE
+        return _invalid("grassmann", "need 0 < k < n")
     H = build_cohomology(args.k, args.n)
     dims = H.graded_dimensions()
     report = {
@@ -405,7 +420,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="evaluate a tangle diagram file")
     p.add_argument("file")
-    p.add_argument("--mode", choices=("global", "sliced"), default="global")
+    p.add_argument("--mode", choices=("sliced", "global"), default="sliced",
+                   help="sliced: native coloured evaluation (default); "
+                        "global: the full cabling, as a reference")
     _add_common(p)
     p.set_defaults(fn=_cmd_eval)
 

@@ -151,6 +151,9 @@ def parse(text: str, name: str = "diagram") -> ColouredDiagram:
                 raise ParseError("expected: cup <i> <m> <u|d>", line_no)
             if not toks[1].isdigit() or not toks[2].isdigit():
                 raise ParseError("cup position and colour must be integers", line_no)
+            if int(toks[2]) < 1:
+                raise ParseError(f"colour must be positive in cup colour {toks[2]!r}",
+                                 line_no, 3)
             slices.append(Slice("cup", int(toks[1]), int(toks[2]), toks[3] == "u"))
         elif kind in ("cap", "pos", "neg"):
             if len(toks) != 2 or not toks[1].isdigit():

@@ -49,12 +49,15 @@ def test_01_uncoloured_invariance():
 
 
 def test_02_coloured_invariance():
+    t0 = time.monotonic()
     reports = verify_invariance(
         colours=3, trials=100, moves=COLOURED_MOVES,
         precision=PRECISION, seed=2026, n_slices=3, max_strands=6)
+    elapsed = time.monotonic() - t0
     failures = [r for r in reports if not r.ok]
     report(2, "100 coloured move-invariance trials, colours <= 3, "
-              f"precision {PRECISION}", not failures)
+              f"precision {PRECISION}, {elapsed:.1f}s < 120s",
+           not failures and elapsed < 120)
 
 
 def test_03_jones_wenzl_divided_powers():

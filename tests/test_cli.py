@@ -73,6 +73,26 @@ class TestEval:
         code, _, _ = run(capsys, ["eval", str(tmp_path / "nope.tangle")])
         assert code == EXIT_VALIDATE
 
+    def test_cup_colour_zero_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "bad.tangle"
+        f.write_text("bottom\ncup 1 0 u\ncap 1\n")
+        code, _, err = run(capsys, ["eval", str(f)])
+        assert code == EXIT_PARSE
+        assert "parse error" in err and "line 2" in err
+
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path):
+        f = tmp_path / "bad.tangle"
+        f.write_bytes(b"bottom\ncup 1 1 u\n\xff\xfe\ncap 1\n")
+        code, _, err = run(capsys, ["eval", str(f)])
+        assert code == EXIT_PARSE
+        assert "parse error" in err and "line 3" in err
+
+    def test_default_mode_is_sliced(self, capsys, unknot_file):
+        code, out, _ = run(capsys, ["eval", unknot_file, "--json",
+                                    "--precision", "16"])
+        assert code == EXIT_OK
+        assert json.loads(out)["mode"] == "sliced"
+
 
 class TestUsageAndPrecision:
     def test_unknown_flag_exits_64(self, unknot_file):
@@ -129,6 +149,27 @@ class TestVerify:
                                     "--moves", "r9"])
         assert code == EXIT_VALIDATE
         assert "unknown move" in err
+
+    @pytest.mark.parametrize("argv", [
+        ["verify", "jones-wenzl", "--n", "0"],
+        ["verify", "slides", "--n", "0"],
+        ["verify", "invariance", "--trials", "0"],
+        ["verify", "invariance", "--trials", "-3"],
+        ["verify", "invariance", "--colours", "0"],
+    ], ids=["jones-wenzl-n0", "slides-n0", "trials0", "trials-neg",
+            "colours0"])
+    def test_vacuous_or_invalid_request_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, argv + ["--precision", "16"])
+        assert code == EXIT_VALIDATE
+        assert out == "" and len(err.strip().splitlines()) == 1
+
+    def test_invariance_shortfall_fails(self, capsys):
+        # r3 needs three crossings; a diagram with no slices has no site
+        code, out, _ = run(capsys, [
+            "verify", "invariance", "--moves", "r3", "--trials", "2",
+            "--n-slices", "0", "--precision", "16"])
+        assert code == EXIT_VERIFY
+        assert "only 0 of 2 trials found a move site in 40 draws" in out
 
     def test_jones_wenzl(self, capsys):
         code, out, _ = run(capsys, ["verify", "jones-wenzl", "--n", "3",

@@ -1,12 +1,15 @@
 """Diagram evaluation, framing normalization, and the invariance harness."""
 
+import random
+
 import pytest
 
 from qtangle.intertwiner import Intertwiner
 from qtangle.invariant import (Mode, link_invariant, normalized_invariant,
                                phi, phi_coloured, verify_invariance)
 from qtangle.qseries import LaurentSeries, quantum_integer
-from qtangle.tangle import MoveKind, cable, parse, random_link
+from qtangle.tangle import (BoundaryPoint, MoveKind, cable, parse,
+                            random_diagram, random_link)
 
 PREC = 32
 
@@ -75,17 +78,85 @@ class TestFramingCalibration:
         assert not res.value.eq_upto(Intertwiner.identity((1,)))
 
 
+def braid_closure(word: list[int], colours: list[int]) -> str:
+    """Closure of a braid on upward strands returning through nested cups."""
+    n = len(colours)
+    lines = ["bottom"] + [f"cup {i} {colours[i - 1]} d" for i in range(1, n + 1)]
+    lines += [f"{'pos' if g > 0 else 'neg'} {n + abs(g)}" for g in word]
+    lines += [f"cap {i}" for i in range(n, 0, -1)]
+    return "\n".join(lines) + "\n"
+
+
+def window_narrowing(ref: Intertwiner, got: Intertwiner) -> list[str]:
+    """Entries where got differs from ref on their common window, or where
+    got is truncated below ref's window."""
+    assert (ref.source, ref.target) == (got.source, got.target)
+    c1, c2 = dict(ref.columns), dict(got.columns)
+    bad = []
+    for idx in set(c1) | set(c2):
+        e1 = dict(c1[idx].coords) if idx in c1 else {}
+        e2 = dict(c2[idx].coords) if idx in c2 else {}
+        for jdx in set(e1) | set(e2):
+            a = e1.get(jdx, LaurentSeries.zero())
+            b = e2.get(jdx, LaurentSeries.zero())
+            if not a.eq_upto(b):
+                bad.append(f"{idx}->{jdx}: values differ")
+            elif b.valid_to is not None and (a.valid_to is None
+                                             or b.valid_to < a.valid_to):
+                bad.append(f"{idx}->{jdx}: window {b.valid_to} < "
+                           f"{a.valid_to}")
+    return bad
+
+
 class TestModes:
     @pytest.mark.parametrize("text", [
         "bottom +2\ncup 2 2 u\npos 1\ncap 2\n",
         "bottom\ncup 1 2 u\ncap 1\n",
         "bottom +1 -1\ncup 2 2 d\npos 1\nneg 1\ncap 2\n",
+        braid_closure([1, 1, 1], [3, 3]),
+        braid_closure([1, 1], [2, 3]),
+        "bottom +2 -3\npos 1\n",
     ])
     def test_global_equals_sliced(self, text):
         d = parse(text)
         a = phi_coloured(d, PREC, Mode.GLOBAL)
         b = phi_coloured(d, PREC, Mode.SLICED)
         assert a.eq_upto(b)
+
+    def test_default_mode_keeps_colour_one_tangles_exact(self):
+        # the cabled reference projects its top boundary with the windowed
+        # pi_1; the native default applies no projection on colour 1
+        d = parse("bottom +1 -1\npos 1\ncup 2 1 u\nneg 2\n")
+        entries = [s for _, img in normalized_invariant(d, PREC).value.columns
+                   for _, s in img.coords]
+        assert entries and all(s.valid_to is None for s in entries)
+        ref = normalized_invariant(d, PREC, Mode.GLOBAL).value
+        assert any(s.valid_to is not None for _, img in ref.columns
+                   for _, s in img.coords)
+
+    def test_seeded_corpus_against_global(self):
+        """Native values agree with the cabled reference on the common
+        window, and no native entry is truncated below the reference."""
+        diagrams = [random_link(8, 1 + seed % 3, seed, max_width=6)
+                    for seed in range(12)]
+        for seed in range(12):
+            rng = random.Random(seed)
+            colours = 1 + seed % 3
+            bottom = [BoundaryPoint(rng.randint(1, colours), rng.random() < 0.5)
+                      for _ in range(rng.randint(0, 3))]
+            diagrams.append(random_diagram(bottom, 5, colours, seed,
+                                           max_width=6))
+        for d in diagrams:
+            ref = normalized_invariant(d, PREC, Mode.GLOBAL).value
+            got = normalized_invariant(d, PREC, Mode.SLICED).value
+            assert window_narrowing(ref, got) == [], d.name
+
+    def test_colour_one_links_are_exact(self):
+        links = [parse(braid_closure([1, 1, 1], [1, 1])),
+                 parse(braid_closure([1, -2, 1, -2], [1, 1, 1]))]
+        links += [random_link(10, 1, seed, max_width=8) for seed in range(8)]
+        for d in links:
+            assert link_invariant(d, PREC).valid_to is None, d.name
 
 
 class TestIntegrality:
@@ -117,6 +188,32 @@ class TestHarness:
             precision=24, seed=3, n_slices=4, max_strands=4,
             flip_gamma_sign=True)
         assert any(not r.ok for r in reports)
+
+    def test_every_trial_checks_a_move(self):
+        # seed 1 draws three diagrams without an r3 site among its first six
+        reports = verify_invariance(
+            colours=2, trials=6,
+            moves=(MoveKind.KINK_PAIR, MoveKind.R2, MoveKind.R3,
+                   MoveKind.CUPCAP_SLIDE, MoveKind.ZIGZAG,
+                   MoveKind.CROSSING_PAST_NESTED_CUPS),
+            precision=24, seed=1, n_slices=3, max_strands=6)
+        assert len(reports) == 6
+        assert all(r.ok and r.detail == "" for r in reports)
+
+    def test_shortfall_is_a_failure(self):
+        # with no slices there is never an r3 site
+        reports = verify_invariance(colours=1, trials=2, moves=(MoveKind.R3,),
+                                    precision=16, seed=0, n_slices=0)
+        assert [r.ok for r in reports] == [False]
+        assert "only 0 of 2 trials" in reports[0].detail
+
+    @pytest.mark.parametrize("kw", [{"trials": 0}, {"trials": -3},
+                                    {"colours": 0}, {"moves": ()}],
+                             ids=["trials0", "trials-neg", "colours0",
+                                  "no-moves"])
+    def test_vacuous_requests_are_refused(self, kw):
+        with pytest.raises(ValueError):
+            verify_invariance(**kw)
 
     def test_determinism(self):
         kw = dict(colours=1, trials=5, moves=(MoveKind.R2,),

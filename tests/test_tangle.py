@@ -33,6 +33,7 @@ class TestParse:
         "cup 1 1 u\n",                      # missing bottom line
         "bottom *1\n",                      # bad token
         "bottom +0\n",                      # colour zero
+        "bottom\ncup 1 0 u\n",              # cup colour zero
         "bottom\ncup 1 1 x\n",              # bad orientation flag
         "bottom\ncup 1 1\n",                # wrong arity
         "bottom\nfrob 1\n",                 # unknown slice
