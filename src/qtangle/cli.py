@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 verification failure, 2 tangle parse error,
 3 validation error, 64 unknown flags or bad usage.  Output is deterministic
 for identical argv and seed; ``--json`` switches every subcommand to a
 machine-readable summary.  The QTANGLE_PRECISION environment variable
-overrides the default precision of 64.
+overrides the default precision, qseries.DEFAULT_PRECISION (64).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 
-from .qseries import bigraded_expand_homofunknot
+from .qseries import DEFAULT_PRECISION, bigraded_expand_homofunknot
 from .tangle import MoveKind, ParseError, ValidationError, parse, validate
 from .intertwiner import (charJW_check, jones_wenzl, jones_wenzl_divided,
                           slide_identity_checks)
@@ -51,11 +51,11 @@ class _Parser(argparse.ArgumentParser):
 def _default_precision() -> int:
     raw = os.environ.get(PRECISION_ENV)
     if raw is None:
-        return 64
+        return DEFAULT_PRECISION
     try:
         return int(raw)
     except ValueError:
-        return 64
+        return DEFAULT_PRECISION
 
 
 def _jsonable(x):
@@ -172,6 +172,11 @@ def _cmd_verify_invariance(args) -> int:
     for flag, value in (("--trials", args.trials), ("--colours", args.colours)):
         if value < 1:
             return _invalid("verify invariance", f"{flag} must be >= 1")
+    if args.flip_gamma and MoveKind.UNCOLOURED_R1 not in moves:
+        # every other move keeps gamma, so the flipped sign would check nothing
+        return _invalid("verify invariance", "--flip-gamma needs "
+                        f"{MoveKind.UNCOLOURED_R1.value} in --moves, the only "
+                        "move that changes gamma")
     repro = (f"qtangle verify invariance --moves {args.moves} "
              f"--colours {args.colours} --trials {args.trials} "
              f"--seed {args.seed} --precision {args.precision} "
@@ -240,6 +245,8 @@ def _cmd_verify_slides(args) -> int:
 def _cmd_grassmann(args) -> int:
     if not 0 < args.k < args.n:
         return _invalid("grassmann", "need 0 < k < n")
+    if args.check_complex and args.hbound > 0:
+        return _invalid("grassmann", "--hbound must be <= 0")
     H = build_cohomology(args.k, args.n)
     dims = H.graded_dimensions()
     report = {
@@ -376,6 +383,9 @@ def _cmd_unknot_homology(args) -> int:
 
 
 def _cmd_gor(args) -> int:
+    if args.hbound < 0:
+        return _invalid("gor", "--hbound must be >= 0; the window is "
+                        "-hbound <= h <= 0")
     repro = f"qtangle gor --hbound {args.hbound} --qbound {args.qbound}"
     d2 = gor_d_squared_zero(h_bound=-args.hbound, q_bound=args.qbound)
     hom = gor_homology(h_bound=-args.hbound, q_bound=args.qbound)
@@ -406,7 +416,8 @@ def _cmd_gor(args) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=_default_precision(),
-                   help="stored series coefficients (default 64, min 8; "
+                   help=f"stored series coefficients (default "
+                        f"{DEFAULT_PRECISION}, min {MIN_PRECISION}; "
                         f"override default via {PRECISION_ENV})")
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON output")
@@ -438,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-slices", type=int, default=6)
     p.add_argument("--max-strands", type=int, default=6)
     p.add_argument("--flip-gamma", action="store_true",
-                   help="negative control: rejected writhe convention")
+                   help="negative control: rejected writhe convention "
+                        "(needs uncoloured-r1 in --moves)")
     _add_common(p)
     p.set_defaults(fn=_cmd_verify_invariance)
 
@@ -487,7 +499,7 @@ def main(argv=None) -> int:
     if getattr(args, "fn", None) is None:
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    precision = getattr(args, "precision", 64)
+    precision = getattr(args, "precision", DEFAULT_PRECISION)
     if precision < MIN_PRECISION:
         print(f"qtangle: precision must be >= {MIN_PRECISION}",
               file=sys.stderr)

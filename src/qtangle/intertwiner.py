@@ -242,9 +242,14 @@ def crossing_neg(n: int, i: int) -> Intertwiner:
 
 @lru_cache(maxsize=None)
 def projection(n: int, precision: int = DEFAULT_PRECISION) -> Intertwiner:
-    """pi_n : V_1^{(x) n} -> V_n, v_a |-> q^{-l(a)} [n choose |a|]^{-1} v_{|a|}."""
+    """pi_n : V_1^{(x) n} -> V_n, v_a |-> q^{-l(a)} [n choose |a|]^{-1} v_{|a|}.
+
+    pi_1 is the exact identity: its binomials are 1, with nothing to invert.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    if n == 1:
+        return Intertwiner.identity((1,))
     inv = {k: quantum_binomial(n, k).invert(precision) for k in range(n + 1)}
 
     def col(a):

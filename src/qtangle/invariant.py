@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .qseries import DEFAULT_PRECISION, LaurentSeries
+from .qseries import (DEFAULT_PRECISION, LaurentSeries, convolve_into,
+                      product_window)
 from .uqsl2 import ModuleElement, basis_indices, weight
 from .intertwiner import (Intertwiner, cap, crossing_neg, crossing_pos, cup,
                           inclusion, inclusion_list, projection,
@@ -69,9 +70,9 @@ def _apply_local(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
     k = len(mid.source)
     tgt = x.colours[:i - 1] + mid.target + x.colours[i - 1 + k:]
     cols = dict(mid.columns)
-    # accumulate coefficient dictionaries and validity windows per index and
-    # build the series only once at the end
-    acc: dict[tuple[int, ...], dict[int, object]] = {}
+    # per target index: coefficients by degree, and the validity window;
+    # every product is convolved straight into them
+    acc: dict[tuple[int, ...], dict] = {}
     valid: dict[tuple[int, ...], int | None] = {}
     for idx, c in x.coords:
         img = cols.get(idx[i - 1:i - 1 + k])
@@ -80,21 +81,22 @@ def _apply_local(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
         pre, post = idx[:i - 1], idx[i - 1 + k:]
         for jdx, c2 in img.coords:
             key = pre + jdx + post
-            term = c * c2
+            v = product_window(c, c2)
             d = acc.get(key)
             if d is None:
-                acc[key] = dict(term.support())
-                valid[key] = term.valid_to
-            else:
-                for deg, coeff in term.support().items():
-                    d[deg] = d.get(deg, 0) + coeff
-                v = valid[key]
-                if term.valid_to is not None and \
-                        (v is None or term.valid_to < v):
-                    valid[key] = term.valid_to
-    return ModuleElement.make(
-        tgt, {key: LaurentSeries.from_dict(d, valid[key])
-              for key, d in acc.items()})
+                d = acc[key] = {}
+                valid[key] = v
+            elif v is not None and (valid[key] is None or v < valid[key]):
+                valid[key] = v
+            convolve_into(d, c, c2, v)
+    # keys come from a valid state and a valid local map, so they need no
+    # bounds check
+    coords = []
+    for key in sorted(acc):
+        series = LaurentSeries.from_dict(acc[key], valid[key])
+        if series.coeffs:
+            coords.append((key, series))
+    return ModuleElement(tgt, tuple(coords))
 
 
 def _basis_columns(colours: tuple[int, ...]) -> dict:

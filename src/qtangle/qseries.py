@@ -5,6 +5,12 @@ validity window: coefficients of q^d are guaranteed correct for all d up to
 ``valid_to`` (inclusive).  ``valid_to is None`` means the element is an exact
 Laurent polynomial, correct in every degree.  Arithmetic never widens a
 window, so every reported coefficient is trustworthy.
+
+A coefficient is a Python ``int`` when it is integral and a ``Fraction``
+otherwise; every true division goes through ``Fraction``, so no float ever
+appears.  The invariants are integral, so the hot path runs on ints.  Every
+product, in ``__mul__`` and in the local maps of ``invariant``, goes through
+one convolution kernel, ``convolve_into``, windowed by ``product_window``.
 """
 
 from __future__ import annotations
@@ -17,9 +23,8 @@ __all__ = [
     "DEFAULT_PRECISION",
     "LaurentSeries",
     "BigradedPolynomial",
-    "ls_add",
-    "ls_mul",
-    "ls_invert",
+    "convolve_into",
+    "product_window",
     "ls_eq_upto",
     "quantum_integer",
     "quantum_factorial",
@@ -30,7 +35,13 @@ __all__ = [
 # Number of coefficients produced by series inversion unless told otherwise.
 DEFAULT_PRECISION = 64
 
-_ZERO = Fraction(0)
+
+def _coef(c):
+    """c as an int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _min_valid(a: int | None, b: int | None) -> int | None:
@@ -45,18 +56,19 @@ def _min_valid(a: int | None, b: int | None) -> int | None:
 class LaurentSeries:
     """Truncated element of Q((q)).
 
-    ``coeffs[i]`` is the coefficient of ``q**(min_deg + i)``.  The zero series
-    is the canonical representative with an empty coefficient tuple.
+    ``coeffs[i]`` is the coefficient of ``q**(min_deg + i)``, an int when
+    integral and a Fraction otherwise.  The zero series is the canonical
+    representative with an empty coefficient tuple.
     """
 
     min_deg: int
-    coeffs: tuple[Fraction, ...]
+    coeffs: tuple[int | Fraction, ...]
     valid_to: int | None = None
 
     @staticmethod
     def make(min_deg: int, coeffs: Iterable, valid_to: int | None = None) -> "LaurentSeries":
-        # avoid re-wrapping exact Fractions; this sits on the hottest path
-        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
+        # skip the call for ints; this sits on the hottest path
+        cs = [c if type(c) is int else _coef(c) for c in coeffs]
         # clamp stored data to the validity window
         if valid_to is not None:
             keep = valid_to - min_deg + 1
@@ -76,30 +88,31 @@ class LaurentSeries:
 
     @staticmethod
     def one() -> "LaurentSeries":
-        return LaurentSeries(0, (Fraction(1),))
+        return LaurentSeries(0, (1,))
 
     @staticmethod
     def monomial(deg: int, coeff=1) -> "LaurentSeries":
-        return LaurentSeries.make(deg, [Fraction(coeff)])
+        return LaurentSeries.make(deg, [coeff])
 
     @staticmethod
-    def from_dict(d: Mapping[int, Fraction], valid_to: int | None = None) -> "LaurentSeries":
+    def from_dict(d: Mapping[int, int | Fraction],
+                  valid_to: int | None = None) -> "LaurentSeries":
         if not d:
             return LaurentSeries.zero(valid_to)
         lo = min(d)
         hi = max(d)
-        return LaurentSeries.make(lo, [d.get(i, _ZERO) for i in range(lo, hi + 1)], valid_to)
+        return LaurentSeries.make(lo, [d.get(i, 0) for i in range(lo, hi + 1)], valid_to)
 
     # -- queries ----------------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coeff(self, deg: int) -> Fraction:
+    def coeff(self, deg: int) -> int | Fraction:
         i = deg - self.min_deg
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
-        return Fraction(0)
+        return 0
 
     def top_deg(self) -> int | None:
         """Highest stored nonzero degree, or None for the zero series."""
@@ -107,7 +120,7 @@ class LaurentSeries:
             return None
         return self.min_deg + len(self.coeffs) - 1
 
-    def support(self) -> dict[int, Fraction]:
+    def support(self) -> dict[int, int | Fraction]:
         return {self.min_deg + i: c for i, c in enumerate(self.coeffs) if c != 0}
 
     def is_polynomial(self) -> bool:
@@ -119,7 +132,7 @@ class LaurentSeries:
         v = _min_valid(self.valid_to, other.valid_to)
         d = dict(self.support())
         for k, c in other.support().items():
-            d[k] = d.get(k, Fraction(0)) + c
+            d[k] = d.get(k, 0) + c
         return LaurentSeries.from_dict(d, v)
 
     def __neg__(self) -> "LaurentSeries":
@@ -129,39 +142,17 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        if self.is_zero() or other.is_zero():
-            v = None
-            if self.valid_to is not None:
-                v = _min_valid(v, self.valid_to + (other.min_deg if not other.is_zero() else 0))
-            if other.valid_to is not None:
-                v = _min_valid(v, other.valid_to + (self.min_deg if not self.is_zero() else 0))
-            return LaurentSeries.zero(v)
-        v = None
-        if self.valid_to is not None:
-            v = _min_valid(v, self.valid_to + other.min_deg)
-        if other.valid_to is not None:
-            v = _min_valid(v, other.valid_to + self.min_deg)
-        out: dict[int, Fraction] = {}
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            da = self.min_deg + i
-            if v is not None and da + other.min_deg > v:
-                break
-            for j, b in enumerate(other.coeffs):
-                if b == 0:
-                    continue
-                dd = da + other.min_deg + j
-                if v is not None and dd > v:
-                    break
-                out[dd] = out.get(dd, _ZERO) + a * b
+        v = product_window(self, other)
+        out: dict[int, int | Fraction] = {}
+        convolve_into(out, self, other, v)
         return LaurentSeries.from_dict(out, v)
 
     def scale(self, c) -> "LaurentSeries":
-        c = Fraction(c)
+        c = _coef(c)
         if c == 0:
             return LaurentSeries.zero(self.valid_to)
-        return LaurentSeries(self.min_deg, tuple(c * x for x in self.coeffs), self.valid_to)
+        return LaurentSeries(self.min_deg, tuple(_coef(c * x) for x in self.coeffs),
+                             self.valid_to)
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by q**n."""
@@ -182,12 +173,13 @@ class LaurentSeries:
         else:
             v = min(self.valid_to - 2 * m, -m + precision - 1)
         n_terms = v + m + 1  # coefficients of the unit part to produce
-        a = list(self.coeffs)
-        inv0 = 1 / a[0]
-        b = [Fraction(0)] * n_terms
+        a = self.coeffs
+        # an int when the leading coefficient is +-1
+        inv0 = _coef(Fraction(1, a[0]))
+        b = [0] * n_terms
         b[0] = inv0
         for i in range(1, n_terms):
-            s = Fraction(0)
+            s = 0
             for j in range(1, min(i, len(a) - 1) + 1):
                 s += a[j] * b[i - j]
             b[i] = -inv0 * s
@@ -211,12 +203,12 @@ class LaurentSeries:
         for k in set(sa) | set(sb):
             if v is not None and k > v:
                 continue
-            if sa.get(k, Fraction(0)) != sb.get(k, Fraction(0)):
+            if sa.get(k, 0) != sb.get(k, 0):
                 return False
         return True
 
-    def eval_at_one(self) -> Fraction:
-        return sum(self.coeffs, Fraction(0))
+    def eval_at_one(self) -> int | Fraction:
+        return _coef(sum(self.coeffs))
 
     def is_integral(self) -> bool:
         return all(c.denominator == 1 for c in self.coeffs)
@@ -257,18 +249,35 @@ class LaurentSeries:
         return LaurentSeries.make(d["min_deg"], [Fraction(c) for c in d["coeffs"]], d["valid_to"])
 
 
-# -- module-level operation aliases (stable public names) ------------------
+# -- the convolution kernel -------------------------------------------------
 
-def ls_add(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a + b
+def product_window(a: LaurentSeries, b: LaurentSeries) -> int | None:
+    """Validity window of a * b: each factor's window shifted by the other's
+    lowest degree (0 for the zero series)."""
+    v = None if a.valid_to is None else a.valid_to + b.min_deg
+    if b.valid_to is not None:
+        v = _min_valid(v, b.valid_to + a.min_deg)
+    return v
 
 
-def ls_mul(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    return a * b
-
-
-def ls_invert(a: LaurentSeries, precision: int | None = None) -> LaurentSeries:
-    return a.invert(precision)
+def convolve_into(out: dict, a: LaurentSeries, b: LaurentSeries,
+                  v: int | None) -> None:
+    """Add the coefficients of a * b up to degree v (all if None) into out,
+    a map from degree to coefficient."""
+    ca, cb = a.coeffs, b.coeffs
+    base = a.min_deg + b.min_deg
+    top = len(ca) + len(cb) - 2 if v is None else v - base
+    if top < 0:
+        return
+    nzb = [(j, y) for j, y in enumerate(cb[:top + 1]) if y]
+    for i, x in enumerate(ca[:top + 1]):
+        if not x:
+            continue
+        d, lim = base + i, top - i
+        for j, y in nzb:
+            if j > lim:
+                break
+            out[d + j] = out.get(d + j, 0) + x * y
 
 
 def ls_eq_upto(a: LaurentSeries, b: LaurentSeries) -> bool:
@@ -314,18 +323,18 @@ def _poly_divmod(a: LaurentSeries, b: LaurentSeries) -> tuple[LaurentSeries, Lau
     sb = b.support()
     tb = max(sb) if sb else 0
     lead = sb[tb]
-    quo: dict[int, Fraction] = {}
+    quo: dict[int, int | Fraction] = {}
     while ra:
         ta = max(ra)
         if not ra[ta]:
             del ra[ta]
             continue
-        c = ra[ta] / lead
+        c = _coef(Fraction(ra[ta], lead))
         d = ta - tb
-        quo[d] = quo.get(d, Fraction(0)) + c
+        quo[d] = quo.get(d, 0) + c
         for k, v in sb.items():
             nk = k + d
-            ra[nk] = ra.get(nk, Fraction(0)) - c * v
+            ra[nk] = ra.get(nk, 0) - c * v
             if ra[nk] == 0:
                 del ra[nk]
         if ta in ra and ra[ta] == 0:

@@ -67,8 +67,11 @@ def _monomials_at(h: int, q: int) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def gor_d_squared_zero(h_bound: int = 12, q_bound: int = 40) -> bool:
-    """d(d(m)) = 0 for every monomial in the window (and on generators)."""
+def gor_d_squared_zero(h_bound: int = -8, q_bound: int = 40) -> bool:
+    """d(d(m)) = 0 for every monomial with h_bound <= h <= 0 and
+    0 <= q <= q_bound."""
+    if h_bound > 0:
+        raise ValueError("h_bound must be <= 0")
     for h in range(0, h_bound - 1, -1):
         for q in range(0, q_bound + 1):
             for mono in _monomials_at(h, q):

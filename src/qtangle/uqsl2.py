@@ -15,7 +15,6 @@ and on tensor products it is given by the iterated comultiplication
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .qseries import LaurentSeries, quantum_binomial, quantum_factorial, quantum_integer
 

@@ -156,8 +156,13 @@ class TestVerify:
         ["verify", "invariance", "--trials", "0"],
         ["verify", "invariance", "--trials", "-3"],
         ["verify", "invariance", "--colours", "0"],
+        ["verify", "invariance", "--moves", "kink-pair", "--flip-gamma"],
+        ["gor", "--hbound", "-4"],
+        ["grassmann", "--k", "1", "--n", "2", "--check-complex",
+         "--hbound", "2"],
     ], ids=["jones-wenzl-n0", "slides-n0", "trials0", "trials-neg",
-            "colours0"])
+            "colours0", "flip-gamma-without-r1", "gor-hbound-neg",
+            "grassmann-hbound-pos"])
     def test_vacuous_or_invalid_request_exit_3(self, capsys, argv):
         code, out, err = run(capsys, argv + ["--precision", "16"])
         assert code == EXIT_VALIDATE

@@ -124,15 +124,14 @@ class TestModes:
         assert a.eq_upto(b)
 
     def test_default_mode_keeps_colour_one_tangles_exact(self):
-        # the cabled reference projects its top boundary with the windowed
-        # pi_1; the native default applies no projection on colour 1
+        # pi_1 is the exact identity, so neither mode truncates a colour-1
+        # tangle
         d = parse("bottom +1 -1\npos 1\ncup 2 1 u\nneg 2\n")
-        entries = [s for _, img in normalized_invariant(d, PREC).value.columns
-                   for _, s in img.coords]
-        assert entries and all(s.valid_to is None for s in entries)
-        ref = normalized_invariant(d, PREC, Mode.GLOBAL).value
-        assert any(s.valid_to is not None for _, img in ref.columns
-                   for _, s in img.coords)
+        for mode in Mode:
+            entries = [s for _, img in
+                       normalized_invariant(d, PREC, mode).value.columns
+                       for _, s in img.coords]
+            assert entries and all(s.valid_to is None for s in entries), mode
 
     def test_seeded_corpus_against_global(self):
         """Native values agree with the cabled reference on the common
@@ -164,6 +163,32 @@ class TestIntegrality:
         for seed in (1, 2, 3):
             d = random_link(3, 2, seed, max_width=6)
             assert link_invariant(d, 24).is_integral()
+
+    def test_link_coefficients_are_ints(self):
+        # integral coefficients are stored as ints, not integral Fractions
+        for seed in range(12):
+            d = random_link(6, 1 + seed % 3, seed, max_width=6)
+            val = link_invariant(d, PREC)
+            assert not val.is_zero(), d.name
+            assert all(type(c) is int for c in val.coeffs), d.name
+
+    @pytest.mark.parametrize("mode", list(Mode))
+    def test_open_tangle_entries_are_ints(self, mode):
+        # every binomial has leading coefficient 1, so even the inverted
+        # binomials inside the projections expand over Z
+        entries = 0
+        for seed in range(8):
+            rng = random.Random(seed)
+            colours = 1 + seed % 3
+            bottom = [BoundaryPoint(rng.randint(1, colours), rng.random() < 0.5)
+                      for _ in range(rng.randint(0, 3))]
+            d = random_diagram(bottom, 5, colours, seed, max_width=6)
+            value = normalized_invariant(d, PREC, mode).value
+            for _, img in value.columns:
+                for _, series in img.coords:
+                    assert all(type(c) is int for c in series.coeffs), d.name
+                    entries += 1
+        assert entries > 50
 
 
 class TestHarness:

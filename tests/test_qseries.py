@@ -1,15 +1,16 @@
 """Laurent series arithmetic, quantum combinatorics, bigraded polynomials."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle.qseries import (BigradedPolynomial, LaurentSeries,
-                             bigraded_expand_homofunknot, ls_eq_upto,
-                             quantum_binomial, quantum_factorial,
-                             quantum_integer)
+from qtangle.qseries import (BigradedPolynomial, LaurentSeries, _poly_divmod,
+                             bigraded_expand_homofunknot, convolve_into,
+                             ls_eq_upto, product_window, quantum_binomial,
+                             quantum_factorial, quantum_integer)
 
 small_coeffs = st.lists(
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -157,6 +158,120 @@ class TestJson:
     @given(laurent())
     def test_round_trip(self, a):
         assert LaurentSeries.from_json(a.to_json()) == a
+
+
+def all_int(s: LaurentSeries) -> bool:
+    return all(type(c) is int for c in s.coeffs)
+
+
+def seeded_series(rng: random.Random) -> LaurentSeries:
+    """Integer or rational coefficients with interior zeros; a window on
+    two draws in three."""
+    lo = rng.randint(-6, 6)
+    cs = [rng.choice((0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 4)))
+          for _ in range(rng.randint(1, 8))]
+    v = None if rng.random() < 1 / 3 else rng.randint(lo - 2, lo + 10)
+    return LaurentSeries.make(lo, cs, v)
+
+
+def schoolbook(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+    """a * b from the coefficient supports, windowed by hand."""
+    v = None
+    if a.valid_to is not None:
+        v = a.valid_to + b.min_deg
+    if b.valid_to is not None:
+        w = b.valid_to + a.min_deg
+        v = w if v is None else min(v, w)
+    out = {}
+    for i, x in a.support().items():
+        for j, y in b.support().items():
+            out[i + j] = out.get(i + j, 0) + x * y
+    return LaurentSeries.from_dict(out, v)
+
+
+class TestCoefficientTypes:
+    """An integral coefficient is an int, any other a Fraction, never a float."""
+
+    def test_make_normalizes(self):
+        s = LaurentSeries.make(0, [Fraction(4, 2), 3, Fraction(1, 3), True])
+        assert [type(c) for c in s.coeffs] == [int, int, Fraction, int]
+        assert all_int(LaurentSeries.monomial(2, Fraction(-6, 3)))
+        assert all_int(LaurentSeries.one())
+
+    def test_scale_returns_ints_when_integral(self):
+        s = LaurentSeries.make(0, [Fraction(1, 2), 1]).scale(2)
+        assert s.coeffs == (1, 2) and all_int(s)
+        assert all_int(LaurentSeries.make(0, [1, 2]).scale(Fraction(-3)))
+
+    @pytest.mark.parametrize("coeffs", [[1, -1], [-1, 2, 1], [1, 0, 3, -4]])
+    def test_invert_unit_leading_coefficient_stays_integral(self, coeffs):
+        inv = LaurentSeries.make(-1, coeffs).invert(16)
+        assert all_int(inv) and len(inv.coeffs) > 1
+
+    def test_invert_non_unit_leading_coefficient(self):
+        inv = LaurentSeries.make(0, [2, 1]).invert(8)   # 1 / (2 + q)
+        assert inv.coeffs[0] == Fraction(1, 2)
+        assert all(type(c) is Fraction for c in inv.coeffs)
+        assert (LaurentSeries.make(0, [2, 1]) * inv).eq_upto(
+            LaurentSeries.one())
+
+    def test_from_json(self):
+        s = LaurentSeries.from_json(
+            {"min_deg": -1, "valid_to": None, "coeffs": ["3", "-1/2", "4/2"]})
+        assert [type(c) for c in s.coeffs] == [int, Fraction, int]
+
+    def test_quantum_binomials_and_division(self):
+        for n in range(7):
+            for k in range(n + 1):
+                assert all_int(quantum_binomial(n, k))
+        q, r = _poly_divmod(LaurentSeries.make(0, [2, 4, 2]),
+                            LaurentSeries.make(0, [2, 2]))
+        assert q.coeffs == (1, 1) and all_int(q) and r.is_zero()
+        q, _ = _poly_divmod(LaurentSeries.make(0, [1, 1]),
+                            LaurentSeries.make(0, [2]))
+        assert q.coeffs == (Fraction(1, 2), Fraction(1, 2))
+
+    def test_no_float_after_arithmetic(self):
+        rng = random.Random(5)
+        for _ in range(50):
+            a, b = seeded_series(rng), seeded_series(rng)
+            for s in (a + b, a * b, a - b, a.scale(3)):
+                assert not any(isinstance(c, float) for c in s.coeffs)
+                assert all(type(c) is int or c.denominator != 1
+                           for c in s.coeffs)
+
+
+class TestConvolveInto:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_mul_and_schoolbook(self, seed):
+        rng = random.Random(seed)
+        for _ in range(40):
+            a, b = seeded_series(rng), seeded_series(rng)
+            v = product_window(a, b)
+            out = {}
+            convolve_into(out, a, b, v)
+            got = LaurentSeries.from_dict(out, v)
+            assert got == a * b == schoolbook(a, b)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_accumulates_a_sum_of_products(self, seed):
+        # the local maps add several products into one dict, under the
+        # smallest of their windows
+        rng = random.Random(100 + seed)
+        for _ in range(20):
+            a, b, c, d = (seeded_series(rng) for _ in range(4))
+            v, w = product_window(a, b), product_window(c, d)
+            out = {}
+            convolve_into(out, a, b, v)
+            convolve_into(out, c, d, w)
+            window = w if v is None else v if w is None else min(v, w)
+            assert LaurentSeries.from_dict(out, window) == a * b + c * d
+
+    def test_window_below_both_factors_gives_nothing(self):
+        a = LaurentSeries.make(3, [1, 1], valid_to=5)
+        out = {}
+        convolve_into(out, a, LaurentSeries.make(0, [1, 2]), 2)
+        assert out == {}
 
 
 class TestBigraded:

@@ -11,6 +11,7 @@ from qtangle.quiverkat import (euler_characteristic_vs_p2, gl2_algebra,
                                ext_self_L1, l1_resolution_report,
                                p12_printed_sign_discrepancies,
                                poincare_vs_paper, standard_modules_gl4)
+from qtangle.quiverkat import gor as gor_module
 from qtangle.qseries import bigraded_expand_homofunknot
 
 
@@ -89,7 +90,17 @@ class TestGl4Corner:
 
 class TestGorAlgebra:
     def test_d_squared_zero(self):
-        assert gor_d_squared_zero(h_bound=8, q_bound=24)
+        assert gor_d_squared_zero(h_bound=-8, q_bound=24)
+
+    def test_d_squared_zero_checks_monomials(self, monkeypatch):
+        # a "differential" with nonzero square must be caught, so the
+        # default window is not empty
+        monkeypatch.setattr(gor_module, "gor_d", lambda element: element)
+        assert not gor_d_squared_zero()
+
+    def test_d_squared_zero_rejects_positive_bound(self):
+        with pytest.raises(ValueError):
+            gor_d_squared_zero(h_bound=8)
 
     def test_leibniz_on_zeta1_squared_like_product(self):
         # d(zeta1 * u1) = u1^3
