@@ -414,33 +414,29 @@ def _cmd_gor(args) -> int:
 
 # -- argument wiring --------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_precision(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=_default_precision(),
                    help=f"stored series coefficients (default "
                         f"{DEFAULT_PRECISION}, min {MIN_PRECISION}; "
                         f"override default via {PRECISION_ENV})")
+
+
+def _add_json(p: argparse.ArgumentParser) -> None:
     p.add_argument("--json", action="store_true",
                    help="machine-readable JSON output")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = _Parser(prog="qtangle",
-                  description="Exact coloured tangle invariants for quantum "
-                              "sl2 and their desk-scale verifications.")
-    sub = top.add_subparsers(dest="command", parser_class=_Parser)
-
-    p = sub.add_parser("eval", help="evaluate a tangle diagram file")
+def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--mode", choices=("sliced", "global"), default="sliced",
                    help="sliced: native coloured evaluation (default); "
                         "global: the full cabling, as a reference")
-    _add_common(p)
+    _add_precision(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_eval)
 
-    v = sub.add_parser("verify", help="verification suites")
-    vsub = v.add_subparsers(dest="suite", parser_class=_Parser)
 
-    p = vsub.add_parser("invariance", help="random move-invariance trials")
+def _invariance_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--moves", default="r2",
                    help="comma-separated: " + ",".join(sorted(_MOVES)))
     p.add_argument("--colours", type=int, default=1)
@@ -451,53 +447,116 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--flip-gamma", action="store_true",
                    help="negative control: rejected writhe convention "
                         "(needs uncoloured-r1 in --moves)")
-    _add_common(p)
+    _add_precision(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_verify_invariance)
 
-    p = vsub.add_parser("jones-wenzl",
-                        help="projector identities for n = 1..N")
+
+def _jones_wenzl_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=4)
-    _add_common(p)
+    _add_precision(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_verify_jones_wenzl)
 
-    p = vsub.add_parser("slides", help="divided-power slide identities")
+
+def _slides_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, default=3)
-    _add_common(p)
+    _add_precision(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_verify_slides)
 
-    p = sub.add_parser("grassmann", help="Grassmannian cohomology report")
+
+def _grassmann_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--check-complex", action="store_true")
     p.add_argument("--hbound", type=int, default=-3)
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_grassmann)
 
-    p = sub.add_parser("quiver-check", help="quiver algebra verifications")
+
+def _quiver_check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--which", choices=("gl2", "gl3", "gl4", "all"),
                    default="all")
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_quiver_check)
 
-    p = sub.add_parser("unknot-homology",
-                       help="Ext table of the colour-2 unknot")
+
+def _unknot_homology_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hmax", type=int, default=8)
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_unknot_homology)
 
-    p = sub.add_parser("gor", help="homology of the small bigraded algebra")
+
+def _gor_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hbound", type=int, default=8)
     p.add_argument("--qbound", type=int, default=40)
-    _add_common(p)
+    _add_json(p)
     p.set_defaults(fn=_cmd_gor)
+
+
+# name -> (help, function adding the arguments, or a table of subcommands)
+_COMMANDS = {
+    "eval": ("evaluate a tangle diagram file", _eval_args),
+    "verify": ("verification suites", {
+        "invariance": ("random move-invariance trials", _invariance_args),
+        "jones-wenzl": ("projector identities for n = 1..N",
+                        _jones_wenzl_args),
+        "slides": ("divided-power slide identities", _slides_args),
+    }),
+    "grassmann": ("Grassmannian cohomology report", _grassmann_args),
+    "quiver-check": ("quiver algebra verifications", _quiver_check_args),
+    "unknot-homology": ("Ext table of the colour-2 unknot",
+                        _unknot_homology_args),
+    "gor": ("homology of the small bigraded algebra", _gor_args),
+}
+_DESTS = ("command", "suite")
+
+
+def _fill(p: argparse.ArgumentParser, body, depth: int) -> None:
+    """Add a command's arguments, or its subcommands, to its parser."""
+    if callable(body):
+        body(p)
+        return
+    sub = p.add_subparsers(dest=_DESTS[depth], parser_class=_Parser)
+    for name, (help_, inner) in body.items():
+        _fill(sub.add_parser(name, help=help_), inner, depth + 1)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand."""
+    top = _Parser(prog="qtangle",
+                  description="Exact coloured tangle invariants for quantum "
+                              "sl2 and their desk-scale verifications.")
+    _fill(top, _COMMANDS, 0)
     return top
 
 
+def _command_parser(argv: list[str]):
+    """(parser, depth): the parser of the subcommand argv names, built
+    alone with the prog the full parser gives it, and how many words of
+    argv name it; the full parser and 0 when argv names no subcommand."""
+    body, names = _COMMANDS, []
+    while not callable(body) and len(names) < len(argv) \
+            and argv[len(names)] in body:
+        body = body[argv[len(names)]][1]
+        names.append(argv[len(names)])
+    if not names:
+        return build_parser(), 0
+    p = _Parser(prog=" ".join(["qtangle"] + names))
+    _fill(p, body, len(names))
+    return p, len(names)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, depth = _command_parser(argv)
+    args, extra = parser.parse_known_args(argv[depth:])
+    if extra:
+        # the full parser reports leftover words from its top level
+        build_parser().error(f"unrecognized arguments: {' '.join(extra)}")
     if getattr(args, "fn", None) is None:
-        parser.print_usage(sys.stderr)
+        build_parser().print_usage(sys.stderr)
         return EXIT_USAGE
     precision = getattr(args, "precision", DEFAULT_PRECISION)
     if precision < MIN_PRECISION:

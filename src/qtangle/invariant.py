@@ -9,6 +9,12 @@ cached.  Mode.GLOBAL, the independent reference, evaluates the full cabling
 between one inclusion/projection sandwich, with a projector at every coloured
 cup.  The framing normalization multiplies by q^{3 gamma} where gamma is the
 oriented crossing count of the cabling.
+
+Both modes, phi and the construction of the coloured maps keep each column
+under evaluation as a _State: per basis index, the entry's coefficients by
+degree and its validity window.  _apply_local maps one state to the next
+through the one convolution kernel of qseries and builds no series; the
+columns become series once, when the finished map is made.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 from .qseries import (DEFAULT_PRECISION, LaurentSeries, convolve_into,
                       product_window)
@@ -50,6 +57,7 @@ class InvariantResult:
         return self.value.scalar()
 
 
+@lru_cache(maxsize=None)
 def _slice_mid(kind: str) -> Intertwiner:
     """The local two-strand (or zero-strand) map of an uncoloured slice."""
     if kind == "cup":
@@ -61,52 +69,108 @@ def _slice_mid(kind: str) -> Intertwiner:
     return crossing_neg(2, 1)
 
 
-def _apply_local(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
+class _State(NamedTuple):
+    """A vector under evaluation, kept out of series form between slices.
+
+    ``coords`` maps each basis index of a nonzero entry to the entry's
+    nonzero coefficients by degree, none above its window, and the window.
+    """
+
+    colours: tuple[int, ...]
+    coords: dict
+
+
+class _Local(NamedTuple):
+    """A local map as _apply_local takes it: the width of its source, its
+    target colours, and per source index the terms (target index,
+    (degree, coefficient) pairs, lowest degree, window) of its column."""
+
+    width: int
+    target: tuple[int, ...]
+    columns: dict
+
+
+@lru_cache(maxsize=None)
+def _local(mid: Intertwiner) -> _Local:
+    return _Local(len(mid.source), mid.target, {
+        idx: tuple((jdx, tuple(c.support().items()), c.min_deg, c.valid_to)
+                   for jdx, c in img.coords)
+        for idx, img in mid.columns})
+
+
+def _state(x: ModuleElement) -> _State:
+    return _State(x.colours, {idx: (c.support(), c.valid_to)
+                              for idx, c in x.coords})
+
+
+def _element(x: _State) -> ModuleElement:
+    # every entry of a state is nonzero, and its keys come from a valid
+    # state and valid local maps, so ModuleElement.make has nothing to check
+    return ModuleElement(x.colours, tuple(
+        (idx, LaurentSeries.from_dict(d, v))
+        for idx, (d, v) in sorted(x.coords.items(), key=lambda t: t[0])))
+
+
+def _apply_local(mid: _Local, i: int, x: _State) -> _State:
     """Apply Id^(i-1) (x) mid (x) Id to x, acting only on its support.
 
     Equivalent to positioned(mid, i, n).apply(x) but never materializes the
-    full-width matrix, which keeps wide cabled diagrams tractable.
+    full-width matrix, which keeps wide cabled diagrams tractable.  A
+    product's window uses the entry's lowest nonzero degree; an output entry
+    takes the smallest window of its products, is cut there, and is dropped
+    when nothing nonzero is left.
     """
-    k = len(mid.source)
+    k = mid.width
     tgt = x.colours[:i - 1] + mid.target + x.colours[i - 1 + k:]
-    cols = dict(mid.columns)
-    # per target index: coefficients by degree, and the validity window;
-    # every product is convolved straight into them
+    cols = mid.columns
+    # per target index: coefficients by degree, into which every product is
+    # convolved, and the validity window unless it is exact
     acc: dict[tuple[int, ...], dict] = {}
-    valid: dict[tuple[int, ...], int | None] = {}
-    for idx, c in x.coords:
+    valid: dict[tuple[int, ...], int] = {}
+    for idx, (c, vc) in x.coords.items():
         img = cols.get(idx[i - 1:i - 1 + k])
         if img is None:
             continue
+        lo = min(c)
         pre, post = idx[:i - 1], idx[i - 1 + k:]
-        for jdx, c2 in img.coords:
+        for jdx, c2, lo2, v2 in img:
             key = pre + jdx + post
-            v = product_window(c, c2)
             d = acc.get(key)
             if d is None:
                 d = acc[key] = {}
-                valid[key] = v
-            elif v is not None and (valid[key] is None or v < valid[key]):
-                valid[key] = v
-            convolve_into(d, c, c2, v)
-    # keys come from a valid state and a valid local map, so they need no
-    # bounds check
-    coords = []
-    for key in sorted(acc):
-        series = LaurentSeries.from_dict(acc[key], valid[key])
-        if series.coeffs:
-            coords.append((key, series))
-    return ModuleElement(tgt, tuple(coords))
+            v = product_window(lo, vc, lo2, v2)
+            if v is not None:
+                w = valid.get(key)
+                if w is None or v < w:
+                    valid[key] = v
+            convolve_into(d, c2, c, v)
+    coords = {}
+    for key, d in acc.items():
+        v = valid.get(key)
+        # scanning in C first spares most entries the rebuild
+        if 0 in d.values() or (v is not None and max(d) > v):
+            d = {e: c for e, c in d.items() if c and (v is None or e <= v)}
+        if d:
+            coords[key] = (d, v)
+    return _State(tgt, coords)
 
 
-def _basis_columns(colours: tuple[int, ...]) -> dict:
-    return {idx: ModuleElement.basis_vector(colours, idx)
+def _basis_states(colours: tuple[int, ...]) -> dict:
+    return {idx: _State(colours, {idx: ({0: 1}, None)})
             for idx in basis_indices(colours)}
 
 
 def _apply_all(mid: Intertwiner, i: int, columns: dict) -> dict:
     """_apply_local on every column of a map under construction."""
-    return {idx: _apply_local(mid, i, v) for idx, v in columns.items()}
+    local = _local(mid)
+    return {idx: _apply_local(local, i, v) for idx, v in columns.items()}
+
+
+def _finish(src: tuple[int, ...], tgt: tuple[int, ...],
+            columns: dict) -> Intertwiner:
+    """The map whose columns are these states, in series form."""
+    return Intertwiner.make(src, tgt, {idx: _element(v)
+                                       for idx, v in columns.items()})
 
 
 def phi(d: ColouredDiagram, precision: int = DEFAULT_PRECISION) -> Intertwiner:
@@ -115,10 +179,10 @@ def phi(d: ColouredDiagram, precision: int = DEFAULT_PRECISION) -> Intertwiner:
         raise ValueError("phi needs a cabled diagram; use phi_coloured")
     top = validate(d)
     src = (1,) * len(d.bottom)
-    columns = _basis_columns(src)
+    columns = _basis_states(src)
     for s in d.slices:
         columns = _apply_all(_slice_mid(s.kind), s.pos, columns)
-    return Intertwiner.make(src, (1,) * len(top), columns)
+    return _finish(src, (1,) * len(top), columns)
 
 
 @lru_cache(maxsize=None)
@@ -164,7 +228,7 @@ def _coloured_map(kind: str, colours: tuple[int, ...],
     # every slice map preserves weight, so a source vector of a weight the
     # target lacks (any but 0 under a cap) maps to zero
     weights = {weight(tgt, j) for j in basis_indices(tgt)}
-    columns = {idx: v for idx, v in _basis_columns(src).items()
+    columns = {idx: v for idx, v in _basis_states(src).items()
                if weight(src, idx) in weights}
     # inclusions right to left and projections left to right, so that the
     # factors not yet expanded or already collapsed keep one slot each
@@ -178,7 +242,7 @@ def _coloured_map(kind: str, colours: tuple[int, ...],
             pi = projection(m, prec) if kind == "cup" and j == 0 \
                 else _readout(m)
             columns = _apply_all(pi, j + 1, columns)
-    return Intertwiner.make(src, tgt, columns)
+    return _finish(src, tgt, columns)
 
 
 def _shift_budget(d: ColouredDiagram) -> int:
@@ -226,7 +290,8 @@ def _phi_coloured_once(d: ColouredDiagram, prec: int,
         # projector per coloured cup: strands born inside the diagram never
         # meet the boundary sandwich, and projector absorption makes this
         # placement agree with the fully sliced composition
-        columns = dict(inclusion_list(src).columns)
+        columns = {idx: _state(img)
+                   for idx, img in inclusion_list(src).columns}
         for s, state in zip(d.slices, states):
             piece = ColouredDiagram("slice", tuple(state), (s,))
             for cs in cable(piece).slices:
@@ -238,15 +303,15 @@ def _phi_coloured_once(d: ColouredDiagram, prec: int,
                 columns = _apply_all(projection(s.colour, prec), start, columns)
                 columns = _apply_all(inclusion(s.colour), start, columns)
         columns = _apply_all(projection_list(tgt, prec), 1, columns)
-        return Intertwiner.make(src, tgt, columns)
+        return _finish(src, tgt, columns)
     # sliced: the state lives in the tensor product of the coloured modules
-    columns = _basis_columns(src)
+    columns = _basis_states(src)
     for s, state in zip(d.slices, states):
         touched = (s.colour,) if s.kind == "cup" else \
             tuple(p.colour for p in state[s.pos - 1:s.pos + 1])
         columns = _apply_all(_coloured_map(s.kind, touched, prec), s.pos,
                              columns)
-    return Intertwiner.make(src, tgt, columns)
+    return _finish(src, tgt, columns)
 
 
 def normalized_invariant(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,

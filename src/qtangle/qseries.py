@@ -8,9 +8,13 @@ window, so every reported coefficient is trustworthy.
 
 A coefficient is a Python ``int`` when it is integral and a ``Fraction``
 otherwise; every true division goes through ``Fraction``, so no float ever
-appears.  The invariants are integral, so the hot path runs on ints.  Every
-product, in ``__mul__`` and in the local maps of ``invariant``, goes through
-one convolution kernel, ``convolve_into``, windowed by ``product_window``.
+appears.  The invariants are integral, so the hot path runs on ints.
+
+Every product goes through one convolution kernel, ``convolve_into``, which
+works on the degree -> coefficient form of a series (``support()``) and is
+windowed by ``product_window``.  ``__mul__`` calls it on two series; the
+local maps of ``invariant`` call it on evaluation states that stay in that
+form from slice to slice and become series only at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ __all__ = [
     "BigradedPolynomial",
     "convolve_into",
     "product_window",
-    "ls_eq_upto",
     "quantum_integer",
     "quantum_factorial",
     "quantum_binomial",
@@ -121,7 +124,7 @@ class LaurentSeries:
         return self.min_deg + len(self.coeffs) - 1
 
     def support(self) -> dict[int, int | Fraction]:
-        return {self.min_deg + i: c for i, c in enumerate(self.coeffs) if c != 0}
+        return {d: c for d, c in enumerate(self.coeffs, self.min_deg) if c}
 
     def is_polynomial(self) -> bool:
         return self.valid_to is None
@@ -142,9 +145,11 @@ class LaurentSeries:
         return self + (-other)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        v = product_window(self, other)
+        v = product_window(self.min_deg, self.valid_to,
+                           other.min_deg, other.valid_to)
         out: dict[int, int | Fraction] = {}
-        convolve_into(out, self, other, v)
+        convolve_into(out, enumerate(self.coeffs, self.min_deg),
+                      other.support(), v)
         return LaurentSeries.from_dict(out, v)
 
     def scale(self, c) -> "LaurentSeries":
@@ -251,37 +256,39 @@ class LaurentSeries:
 
 # -- the convolution kernel -------------------------------------------------
 
-def product_window(a: LaurentSeries, b: LaurentSeries) -> int | None:
-    """Validity window of a * b: each factor's window shifted by the other's
-    lowest degree (0 for the zero series)."""
-    v = None if a.valid_to is None else a.valid_to + b.min_deg
-    if b.valid_to is not None:
-        v = _min_valid(v, b.valid_to + a.min_deg)
-    return v
+def product_window(lo_a: int, va: int | None, lo_b: int,
+                   vb: int | None) -> int | None:
+    """Validity window of a product of two factors with lowest degrees lo_a,
+    lo_b (0 for zero) and windows va, vb: each factor's window shifted by
+    the other's lowest degree."""
+    if va is None:
+        return None if vb is None else vb + lo_a
+    if vb is None:
+        return va + lo_b
+    return min(va + lo_b, vb + lo_a)
 
 
-def convolve_into(out: dict, a: LaurentSeries, b: LaurentSeries,
-                  v: int | None) -> None:
-    """Add the coefficients of a * b up to degree v (all if None) into out,
-    a map from degree to coefficient."""
-    ca, cb = a.coeffs, b.coeffs
-    base = a.min_deg + b.min_deg
-    top = len(ca) + len(cb) - 2 if v is None else v - base
-    if top < 0:
+def convolve_into(out: dict, a: Iterable, b: Mapping, v: int | None) -> None:
+    """Add the coefficients of a * b up to degree v (all if None) into out.
+
+    a is a sequence of (degree, coefficient) pairs, read once; b and out
+    map degree to coefficient.  A zero coefficient of a is skipped; b holds
+    only nonzero ones.  In the local maps a is a map term, usually a
+    monomial, and b a state entry, so the short loop is the outer one.
+    """
+    get = out.get
+    if v is None:
+        for i, x in a:
+            if x:
+                for j, y in b.items():
+                    out[i + j] = get(i + j, 0) + x * y
         return
-    nzb = [(j, y) for j, y in enumerate(cb[:top + 1]) if y]
-    for i, x in enumerate(ca[:top + 1]):
-        if not x:
-            continue
-        d, lim = base + i, top - i
-        for j, y in nzb:
-            if j > lim:
-                break
-            out[d + j] = out.get(d + j, 0) + x * y
-
-
-def ls_eq_upto(a: LaurentSeries, b: LaurentSeries) -> bool:
-    return a.eq_upto(b)
+    for i, x in a:
+        if x:
+            lim = v - i
+            for j, y in b.items():
+                if j <= lim:
+                    out[i + j] = get(i + j, 0) + x * y
 
 
 # -- quantum combinatorics --------------------------------------------------

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from .qseries import LaurentSeries, quantum_binomial, quantum_factorial, quantum_integer
 
 __all__ = [
-    "TensorFactorization",
     "ModuleElement",
     "act",
     "act_on_range",
@@ -34,27 +33,6 @@ __all__ = [
 ]
 
 GENERATORS = ("E", "F", "K", "Kinv")
-
-
-@dataclass(frozen=True)
-class TensorFactorization:
-    """Ordered list of colours (d_1, ..., d_r); factor j has basis v_0..v_{d_j}."""
-
-    colours: tuple[int, ...]
-
-    def __post_init__(self):
-        if any(d < 1 for d in self.colours):
-            raise ValueError("colours must be positive integers")
-
-    @property
-    def rank(self) -> int:
-        return len(self.colours)
-
-    def dimension(self) -> int:
-        n = 1
-        for d in self.colours:
-            n *= d + 1
-        return n
 
 
 def weight(colours: tuple[int, ...], index: tuple[int, ...]) -> int:

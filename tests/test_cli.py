@@ -4,8 +4,9 @@ import json
 
 import pytest
 
+from qtangle import cli
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
-                         EXIT_VERIFY, PRECISION_ENV, main)
+                         EXIT_VERIFY, PRECISION_ENV, build_parser, main)
 
 UNKNOT = "bottom\ncup 1 1 u\ncap 1\n"
 
@@ -127,6 +128,85 @@ class TestUsageAndPrecision:
         assert json.loads(out)["precision"] == 64
 
 
+# every subcommand, with words that its parser must refuse
+USAGE_ERRORS = {
+    ("eval",): [],
+    ("verify",): ["no-such-suite"],
+    ("verify", "invariance"): ["--trials", "many"],
+    ("verify", "jones-wenzl"): ["--n"],
+    ("verify", "slides"): ["--n", "2", "--frobnicate"],
+    ("grassmann",): ["--k", "1"],
+    ("quiver-check",): ["--which", "gl5"],
+    ("unknot-homology",): ["--hmax", "1.5"],
+    ("gor",): ["--hbound", "2", "stray"],
+}
+
+
+def exit_outcome(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits."""
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestParsers:
+    """main builds only the named subcommand's parser, and it must behave
+    exactly as that subcommand does inside the full parser."""
+
+    @pytest.mark.parametrize("words", list(USAGE_ERRORS), ids=" ".join)
+    def test_help_matches_full_parser(self, capsys, words):
+        argv = list(words) + ["--help"]
+        got = exit_outcome(capsys, main, argv)
+        assert got == exit_outcome(capsys, build_parser().parse_args, argv)
+        assert got[0] == 0 and got[1].startswith(
+            "usage: qtangle " + " ".join(words))
+
+    @pytest.mark.parametrize("words", list(USAGE_ERRORS), ids=" ".join)
+    def test_usage_error_matches_full_parser(self, capsys, words):
+        argv = list(words) + USAGE_ERRORS[words]
+        got = exit_outcome(capsys, main, argv)
+        assert got == exit_outcome(capsys, build_parser().parse_args, argv)
+        assert got[0] == EXIT_USAGE and got[1] == "" and "error:" in got[2]
+
+    def test_top_level_help_matches_full_parser(self, capsys):
+        got = exit_outcome(capsys, main, ["--help"])
+        assert got == exit_outcome(capsys, build_parser().parse_args,
+                                   ["--help"])
+        assert all(words[0] in got[1] for words in USAGE_ERRORS)
+
+    def test_one_parser_per_named_subcommand(self, capsys, unknot_file,
+                                             monkeypatch):
+        built = []
+        init = cli._Parser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cli._Parser, "__init__", counting)
+        assert main(["eval", unknot_file, "--precision", "16"]) == EXIT_OK
+        assert built == ["qtangle eval"]
+        built.clear()
+        assert main(["verify", "slides", "--n", "1",
+                     "--precision", "16"]) == EXIT_OK
+        assert built == ["qtangle verify slides"]
+
+    @pytest.mark.parametrize("argv", [
+        ["grassmann", "--k", "1", "--n", "2"],
+        ["quiver-check", "--which", "gl2"],
+        ["unknot-homology", "--hmax", "2"],
+        ["gor", "--hbound", "2", "--qbound", "10"],
+    ], ids=lambda a: a[0])
+    def test_precision_only_where_it_is_read(self, capsys, argv):
+        code, out, _ = run(capsys, argv + ["--json"])
+        assert code == EXIT_OK and json.loads(out)["ok"]
+        code, out, err = exit_outcome(capsys, main, argv + ["--precision",
+                                                            "16"])
+        assert code == EXIT_USAGE and out == ""
+        assert "unrecognized arguments: --precision 16" in err
+
+
 class TestVerify:
     def test_invariance_pass(self, capsys):
         code, out, _ = run(capsys, [
@@ -151,12 +231,13 @@ class TestVerify:
         assert "unknown move" in err
 
     @pytest.mark.parametrize("argv", [
-        ["verify", "jones-wenzl", "--n", "0"],
-        ["verify", "slides", "--n", "0"],
-        ["verify", "invariance", "--trials", "0"],
-        ["verify", "invariance", "--trials", "-3"],
-        ["verify", "invariance", "--colours", "0"],
-        ["verify", "invariance", "--moves", "kink-pair", "--flip-gamma"],
+        ["verify", "jones-wenzl", "--n", "0", "--precision", "16"],
+        ["verify", "slides", "--n", "0", "--precision", "16"],
+        ["verify", "invariance", "--trials", "0", "--precision", "16"],
+        ["verify", "invariance", "--trials", "-3", "--precision", "16"],
+        ["verify", "invariance", "--colours", "0", "--precision", "16"],
+        ["verify", "invariance", "--moves", "kink-pair", "--flip-gamma",
+         "--precision", "16"],
         ["gor", "--hbound", "-4"],
         ["grassmann", "--k", "1", "--n", "2", "--check-complex",
          "--hbound", "2"],
@@ -164,7 +245,7 @@ class TestVerify:
             "colours0", "flip-gamma-without-r1", "gor-hbound-neg",
             "grassmann-hbound-pos"])
     def test_vacuous_or_invalid_request_exit_3(self, capsys, argv):
-        code, out, err = run(capsys, argv + ["--precision", "16"])
+        code, out, err = run(capsys, argv)
         assert code == EXIT_VALIDATE
         assert out == "" and len(err.strip().splitlines()) == 1
 

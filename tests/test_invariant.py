@@ -4,10 +4,13 @@ import random
 
 import pytest
 
-from qtangle.intertwiner import Intertwiner
-from qtangle.invariant import (Mode, link_invariant, normalized_invariant,
-                               phi, phi_coloured, verify_invariance)
+from qtangle.intertwiner import Intertwiner, inclusion, positioned, projection
+from qtangle.invariant import (Mode, _apply_local, _coloured_map, _element,
+                               _local, _slice_mid, _state, link_invariant,
+                               normalized_invariant, phi, phi_coloured,
+                               verify_invariance)
 from qtangle.qseries import LaurentSeries, quantum_integer
+from qtangle.uqsl2 import ModuleElement, basis_indices
 from qtangle.tangle import (BoundaryPoint, MoveKind, cable, parse,
                             random_diagram, random_link)
 
@@ -156,6 +159,95 @@ class TestModes:
         links += [random_link(10, 1, seed, max_width=8) for seed in range(8)]
         for d in links:
             assert link_invariant(d, PREC).valid_to is None, d.name
+
+
+def seeded_state(rng: random.Random, colours) -> ModuleElement:
+    """Entries on about half the basis with interior zeros, windowed on
+    two in three."""
+    coords = {}
+    for idx in basis_indices(colours):
+        if rng.random() < 0.5:
+            continue
+        lo = rng.randint(-4, 4)
+        cs = [rng.choice((0, 1, -1, 2, -3)) for _ in range(rng.randint(1, 5))]
+        v = None if rng.random() < 1 / 3 else rng.randint(lo, lo + 6)
+        coords[idx] = LaurentSeries.make(lo, cs, v)
+    return ModuleElement.make(colours, coords)
+
+
+def local_apply(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
+    return _element(_apply_local(_local(mid), i, _state(x)))
+
+
+# the colour-1 slices, the projections and inclusions, and one coloured
+# crossing map, each on 4 strands with colour-1 neighbours
+LOCAL_MAPS = {
+    "cup": lambda: _slice_mid("cup"),
+    "cap": lambda: _slice_mid("cap"),
+    "pos": lambda: _slice_mid("pos"),
+    "neg": lambda: _slice_mid("neg"),
+    "projection2": lambda: projection(2, 6),
+    "projection3": lambda: projection(3, 6),
+    "inclusion2": lambda: inclusion(2),
+    "inclusion3": lambda: inclusion(3),
+    "coloured-pos": lambda: _coloured_map("pos", (2, 1), 8),
+}
+
+
+class TestApplyLocal:
+    """_apply_local against the full-width positioned(mid, i, n).apply(x),
+    which shares no code with it: values and windows must agree."""
+
+    @pytest.mark.parametrize("name", list(LOCAL_MAPS))
+    def test_matches_full_width_apply(self, name):
+        mid = LOCAL_MAPS[name]()
+        n = 4
+        windowed = 0
+        for i in range(1, n - len(mid.source) + 2):
+            colours = (1,) * (i - 1) + mid.source + \
+                (1,) * (n - (i - 1) - len(mid.source))
+            full = positioned(mid, i, n)
+            for seed in range(12):
+                x = seeded_state(random.Random(seed), colours)
+                got = local_apply(mid, i, x)
+                assert got == full.apply(x), (name, i, seed)
+                windowed += sum(c.valid_to is not None for _, c in got.coords)
+        assert windowed > 20
+
+    def test_entry_that_cancels_is_dropped(self):
+        # cap(q^-1 v0 v1 + v1 v0) = q^-1 - q^-1
+        mid = _slice_mid("cap")
+        x = ModuleElement.make((1, 1), {
+            (0, 1): LaurentSeries.make(-1, [1], 3),
+            (1, 0): LaurentSeries.make(0, [1], 4)})
+        got = local_apply(mid, 1, x)
+        assert got.is_zero() and got == positioned(mid, 1, 2).apply(x)
+
+    def test_entry_above_its_window_is_dropped(self):
+        # q^-1 + q^5 - q^-1 leaves q^5, above the window q^1 of the second
+        # product
+        mid = _slice_mid("cap")
+        x = ModuleElement.make((1, 1), {
+            (0, 1): LaurentSeries.make(-1, [1, 0, 0, 0, 0, 0, 1]),
+            (1, 0): LaurentSeries.make(0, [1], 2)})
+        got = local_apply(mid, 1, x)
+        assert got.is_zero() and got == positioned(mid, 1, 2).apply(x)
+        # with the second window wider, q^5 stays: q^5 + O(q^6)
+        x = ModuleElement.make((1, 1), {
+            (0, 1): LaurentSeries.make(-1, [1, 0, 0, 0, 0, 0, 1]),
+            (1, 0): LaurentSeries.make(0, [1], 6)})
+        got = local_apply(mid, 1, x)
+        assert got == positioned(mid, 1, 2).apply(x)
+        assert got.as_dict()[()] == LaurentSeries.make(5, [1], 5)
+
+    def test_window_uses_the_lowest_nonzero_degree(self):
+        # the exact entry q^2 shifts the window of pi_2's term by 2
+        mid = projection(2, 6)
+        term = mid.column((0, 1)).as_dict()[(1,)]
+        x = ModuleElement.make((1, 1), {(0, 1): LaurentSeries.monomial(2)})
+        got = local_apply(mid, 1, x)
+        assert got == positioned(mid, 1, 2).apply(x)
+        assert got.as_dict()[(1,)].valid_to == term.valid_to + 2
 
 
 class TestIntegrality:

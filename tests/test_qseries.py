@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qtangle.qseries import (BigradedPolynomial, LaurentSeries, _poly_divmod,
                              bigraded_expand_homofunknot, convolve_into,
-                             ls_eq_upto, product_window, quantum_binomial,
+                             product_window, quantum_binomial,
                              quantum_factorial, quantum_integer)
 
 small_coeffs = st.lists(
@@ -241,15 +241,19 @@ class TestCoefficientTypes:
                            for c in s.coeffs)
 
 
+def window(a: LaurentSeries, b: LaurentSeries) -> int | None:
+    return product_window(a.min_deg, a.valid_to, b.min_deg, b.valid_to)
+
+
 class TestConvolveInto:
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_mul_and_schoolbook(self, seed):
         rng = random.Random(seed)
         for _ in range(40):
             a, b = seeded_series(rng), seeded_series(rng)
-            v = product_window(a, b)
+            v = window(a, b)
             out = {}
-            convolve_into(out, a, b, v)
+            convolve_into(out, a.support().items(), b.support(), v)
             got = LaurentSeries.from_dict(out, v)
             assert got == a * b == schoolbook(a, b)
 
@@ -260,18 +264,28 @@ class TestConvolveInto:
         rng = random.Random(100 + seed)
         for _ in range(20):
             a, b, c, d = (seeded_series(rng) for _ in range(4))
-            v, w = product_window(a, b), product_window(c, d)
+            v, w = window(a, b), window(c, d)
             out = {}
-            convolve_into(out, a, b, v)
-            convolve_into(out, c, d, w)
-            window = w if v is None else v if w is None else min(v, w)
-            assert LaurentSeries.from_dict(out, window) == a * b + c * d
+            convolve_into(out, a.support().items(), b.support(), v)
+            convolve_into(out, c.support().items(), d.support(), w)
+            both = w if v is None else v if w is None else min(v, w)
+            assert LaurentSeries.from_dict(out, both) == a * b + c * d
 
     def test_window_below_both_factors_gives_nothing(self):
-        a = LaurentSeries.make(3, [1, 1], valid_to=5)
         out = {}
-        convolve_into(out, a, LaurentSeries.make(0, [1, 2]), 2)
+        convolve_into(out, [(3, 1), (4, 1)], {0: 1, 1: 2}, 2)
         assert out == {}
+
+    def test_zero_pairs_of_the_first_factor_add_nothing(self):
+        out = {}
+        convolve_into(out, [(0, 0), (1, 2), (2, 0)], {0: 1, 5: 3}, None)
+        assert out == {1: 2, 6: 6}
+
+    def test_product_window_of_the_zero_series(self):
+        # the zero series has lowest degree 0, so it shifts nothing
+        a = LaurentSeries.make(2, [1, 1], valid_to=5)
+        assert (a * LaurentSeries.zero()).valid_to == 5
+        assert (LaurentSeries.zero(3) * a).valid_to == 5
 
 
 class TestBigraded:
@@ -302,4 +316,4 @@ class TestBigraded:
 def test_ls_eq_upto_respects_window():
     a = LaurentSeries.make(0, [1, 2, 3], valid_to=1)
     b = LaurentSeries.make(0, [1, 2, 7], valid_to=10)
-    assert ls_eq_upto(a, b)
+    assert a.eq_upto(b) and b.eq_upto(a)

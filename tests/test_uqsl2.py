@@ -5,8 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtangle.qseries import LaurentSeries, quantum_binomial, quantum_integer
-from qtangle.uqsl2 import (ModuleElement, TensorFactorization, act,
-                           act_on_range, basis_indices,
+from qtangle.uqsl2 import (ModuleElement, act, act_on_range, basis_indices,
                            basis_indices_of_weight, bilinear_form,
                            divided_power_act, divided_power_act_closed,
                            seq_stats, weight, weight_projector)
@@ -30,9 +29,6 @@ def quantum_of_weight(mu: int) -> LaurentSeries:
 
 
 class TestBasics:
-    def test_dimension(self):
-        assert TensorFactorization((2, 3)).dimension() == 12
-
     def test_basis_enumeration(self):
         assert len(list(basis_indices((1, 1, 1)))) == 8
         assert list(basis_indices(())) == [()]
