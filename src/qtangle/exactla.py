@@ -1,8 +1,13 @@
 """Sparse multivariate polynomials over Q and exact Fraction linear algebra.
 
 Shared plumbing for the commutative-algebra checks: polynomial rings with
-rational coefficients, exact long division, and row reduction used to cut
-out quotient rings and compute ranks degreewise.
+rational coefficients, exact long division, and the one echelon routine of
+the package.  ``Span`` keeps a sparse echelon basis (vectors are dicts
+key -> Fraction, the pivot of a row is its least key) and grows it one
+vector at a time; ``rref``, ``rank`` and ``nullspace`` read it off for a
+list of sparse rows.  Callers key rows by the objects they already index
+(monomials, chain-basis entries, candidate paths), so no dense matrix or
+column map is ever built.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-__all__ = ["Poly", "rref", "rank", "nullspace"]
+__all__ = ["Poly", "Span", "rref", "rank", "nullspace"]
 
 
 @dataclass(frozen=True)
@@ -146,46 +151,87 @@ class Poly:
         return " + ".join(parts)
 
 
-def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (rref rows, pivot column indices)."""
-    m = [list(map(Fraction, r)) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+class Span:
+    """Echelonized span of sparse vectors (dict key -> Fraction).
+
+    rows maps each pivot key to its row, which has coefficient 1 at the
+    pivot, its least key, and 0 at every other pivot; adding a vector
+    updates older rows in place.  Keys of one span must be mutually
+    comparable; their order fixes the pivots.
+    """
+
+    def __init__(self, vectors=()):
+        self.rows: dict = {}
+        for v in vectors:
+            self.add(v)
+
+    def reduce(self, v) -> dict:
+        """Residue of v modulo the span; empty exactly when v lies in it."""
+        v = {k: c for k, c in v.items() if c}
+        # the rows vanish at each other's pivots, so one pass over the
+        # pivots v starts with clears every pivot
+        for p in sorted(self.rows.keys() & v.keys()):
+            _subtract(v, v[p], self.rows[p])
+        return v
+
+    def add(self, v) -> bool:
+        """Add v to the span; False when it was already in it."""
+        r = self.reduce(v)
+        if not r:
+            return False
+        p = min(r)
+        inv = 1 / Fraction(r[p])
+        new = self.rows[p] = {k: c * inv for k, c in r.items()}
+        # keep older rows reduced against the new pivot
+        for row in self.rows.values():
+            if row is not new and p in row:
+                _subtract(row, row[p], new)
+        return True
+
+    def contains(self, v) -> bool:
+        return not self.reduce(v)
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
 
 
-def rank(rows: list[list[Fraction]]) -> int:
-    return len(rref(rows)[1])
+def _subtract(v: dict, c, row: dict) -> None:
+    """v -= c * row in place, dropping the entries that cancel."""
+    for k, rc in row.items():
+        nv = v.get(k, 0) - c * rc
+        if nv:
+            v[k] = nv
+        else:
+            v.pop(k, None)
 
 
-def nullspace(rows: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Basis of the right kernel of the matrix (rows are matrix rows)."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    red, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+def rref(rows) -> dict:
+    """Reduced row echelon form of sparse rows (dict key -> Fraction).
+
+    Returns pivot key -> reduced row, pivots and the keys of each row in
+    ascending order.  A row's pivot is its least key, so this is the usual
+    reduced echelon form for columns in key order.
+    """
+    red = Span(rows).rows
+    return {p: dict(sorted(red[p].items())) for p in sorted(red)}
+
+
+def rank(rows) -> int:
+    return len(rref(rows))
+
+
+def nullspace(rows, ncols: int) -> list[dict]:
+    """Basis of the right kernel of sparse rows over the columns 0..ncols-1,
+    one sparse vector per non-pivot column, in column order."""
+    red = rref(rows)
     basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, p in zip(red, pivots):
-            v[p] = -r[f]
+    for f in range(ncols):
+        if f in red:
+            continue
+        v = {f: Fraction(1)}
+        for p, row in red.items():
+            if f in row:
+                v[p] = -row[f]
         basis.append(v)
     return basis

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactla import Poly, nullspace, rank, rref
+from .exactla import Poly, rank, rref
 
 __all__ = [
     "r_poly", "GrCohomology", "build_cohomology",
@@ -121,32 +121,26 @@ def build_cohomology(k: int, n: int, extra_weight: int | None = None) -> GrCohom
     basis: list[tuple[int, ...]] = []
     reduction: dict = {}
     for d in range(d_max + 1):
-        monos = sorted(_tuples_of_weight(k, d, weights))
-        col = {m: i for i, m in enumerate(monos)}
+        # rows are keyed by monomial and rref pivots on the least monomial of
+        # each row, so the basis is the monomials that lead no row
         rows = []
         for j, r in enumerate(rels, start=1):
             shift = d - (n - k + j)
             if shift < 0:
                 continue
             for m in _tuples_of_weight(k, shift, weights):
-                row = [Fraction(0)] * len(monos)
-                for exps, c in r.terms:
-                    e = tuple(a + b for a, b in zip(exps, m))
-                    row[col[e]] = row[col[e]] + c
-                rows.append(row)
-        if rows:
-            red, pivots = rref(rows)
-        else:
-            red, pivots = [], []
-        pivot_set = set(pivots)
-        free = [c for c in range(len(monos)) if c not in pivot_set]
-        for c in free:
+                rows.append({tuple(a + b for a, b in zip(exps, m)): c
+                             for exps, c in r.terms})
+        red = rref(rows) if rows else {}
+        free = [m for m in sorted(_tuples_of_weight(k, d, weights))
+                if m not in red]
+        for m in free:
             if d <= top:
-                basis.append(monos[c])
-            reduction[monos[c]] = {monos[c]: Fraction(1)} if d <= top else {}
-        for row, p in zip(red, pivots):
-            reduction[monos[p]] = {
-                monos[f]: -row[f] for f in free if row[f] and d <= top}
+                basis.append(m)
+            reduction[m] = {m: Fraction(1)} if d <= top else {}
+        for p, row in red.items():
+            reduction[p] = {f: -c for f, c in row.items()
+                            if f != p and d <= top}
         if d > top and free:
             raise ValueError(
                 f"quotient unexpectedly nonzero in weight {d} > top weight {top}")
@@ -294,22 +288,18 @@ class WolffhardtComplex:
                 out.append((pair, g, hh.qdeg(pair) + gq))
         return out
 
-    def _matrix(self, h: int, hh: TensorSquare, q: int,
-                src, tgt) -> list[list[Fraction]]:
-        """Differential C_h -> C_{h+1} restricted to internal degree q.
-
-        Rows indexed by src entries, columns by tgt entries, as matrix rows
-        per source vector (so rank computations read it as a row span).
-        """
-        tgt_index = {(pair, g): i for i, (pair, g, qq) in enumerate(tgt)}
+    def _matrix(self, h: int, hh: TensorSquare, src) -> list[dict]:
+        """Differential C_h -> C_{h+1} on the src entries, as one sparse row
+        per source vector keyed by (pair, generator) target entries (so rank
+        computations read it as a row span)."""
         rows = []
         k = self.H.k
         for pair, g, qq in src:
-            row = [Fraction(0)] * len(tgt)
+            row: dict = {}
             mono = Poly.monomial(2 * k, pair[0] + pair[1])
             for g1, coeff in self.differentials[h].get(g, {}).items():
                 for tpair, c in hh.reduce(mono * coeff).items():
-                    row[tgt_index[(tpair, g1)]] += c
+                    row[(tpair, g1)] = row.get((tpair, g1), 0) + c
             rows.append(row)
         return rows
 
@@ -324,14 +314,11 @@ class WolffhardtComplex:
             for q in qs:
                 src = [e for e in bases[h] if e[2] == q]
                 if h < 0:
-                    tgt = [e for e in bases[h + 1] if e[2] == q]
-                    mat = self._matrix(h, hh, q, src, tgt)
-                    cycles = len(src) - rank(mat)
+                    cycles = len(src) - rank(self._matrix(h, hh, src))
                 else:
                     cycles = len(src)
                 prev = [e for e in bases[h - 1] if e[2] == q]
-                bmat = self._matrix(h - 1, hh, q, prev, src)
-                boundaries = rank(bmat)
+                boundaries = rank(self._matrix(h - 1, hh, prev))
                 if cycles - boundaries:
                     dims[q] = cycles - boundaries
             out[h] = dims

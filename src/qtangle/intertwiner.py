@@ -336,11 +336,6 @@ def nested_cups(n: int) -> Intertwiner:
     return out
 
 
-def _op_left(gen: str, x: ModuleElement, n: int) -> ModuleElement:
-    from .uqsl2 import act_on_range
-    return act_on_range(gen, x, 0, n)
-
-
 def slide_identity_checks(n: int, k: int, precision: int = DEFAULT_PRECISION) -> bool:
     """Verify the four divided-power slide identities against C_n:
 
@@ -389,8 +384,6 @@ def slide_identity_checks(n: int, k: int, precision: int = DEFAULT_PRECISION) ->
     ok = ok and lhs.eq_upto(rhs)
 
     # weight projector slide
-    from .uqsl2 import weight as wt
-
     def project_range(x, mu, lo, hi):
         return ModuleElement.make(
             x.colours,

@@ -126,9 +126,6 @@ class LaurentSeries:
     def support(self) -> dict[int, int | Fraction]:
         return {d: c for d, c in enumerate(self.coeffs, self.min_deg) if c}
 
-    def is_polynomial(self) -> bool:
-        return self.valid_to is None
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -196,10 +193,6 @@ class LaurentSeries:
             raise ValueError("bar involution needs an exact polynomial")
         d = {-k: c for k, c in self.support().items()}
         return LaurentSeries.from_dict(d, None)
-
-    def truncate(self, valid_to: int) -> "LaurentSeries":
-        v = _min_valid(self.valid_to, valid_to)
-        return LaurentSeries.make(self.min_deg, self.coeffs, v)
 
     def eq_upto(self, other: "LaurentSeries") -> bool:
         """Equality on the common validity window."""
@@ -323,30 +316,24 @@ def quantum_binomial(n: int, k: int) -> LaurentSeries:
 
 
 def _poly_divmod(a: LaurentSeries, b: LaurentSeries) -> tuple[LaurentSeries, LaurentSeries]:
-    """Divide exact Laurent polynomials, dividing off the top degree."""
+    """Divide exact Laurent polynomials: a = quotient * b + remainder.
+
+    Both are normalised to lowest degree 0 and divided as ordinary
+    polynomials, so the remainder is q^{a.min_deg} times a polynomial of
+    degree below b's span, and it is zero exactly when b divides a.
+    """
     if b.is_zero():
         raise ZeroDivisionError("division by zero polynomial")
-    ra = dict(a.support())
-    sb = b.support()
-    tb = max(sb) if sb else 0
-    lead = sb[tb]
-    quo: dict[int, int | Fraction] = {}
-    while ra:
-        ta = max(ra)
-        if not ra[ta]:
-            del ra[ta]
-            continue
-        c = _coef(Fraction(ra[ta], lead))
-        d = ta - tb
-        quo[d] = quo.get(d, 0) + c
-        for k, v in sb.items():
-            nk = k + d
-            ra[nk] = ra.get(nk, 0) - c * v
-            if ra[nk] == 0:
-                del ra[nk]
-        if ta in ra and ra[ta] == 0:
-            del ra[ta]
-    return LaurentSeries.from_dict(quo), LaurentSeries.zero()
+    rem = list(a.coeffs)
+    den = b.coeffs
+    lead = den[-1]
+    quo = [0] * max(len(rem) - len(den) + 1, 0)
+    for i in reversed(range(len(quo))):
+        c = quo[i] = _coef(Fraction(rem[i + len(den) - 1], lead))
+        for j, x in enumerate(den):
+            rem[i + j] -= c * x
+    return (LaurentSeries.make(a.min_deg - b.min_deg, quo),
+            LaurentSeries.make(a.min_deg, rem))
 
 
 # -- bigraded Poincare polynomials ------------------------------------------

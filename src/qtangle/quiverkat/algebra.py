@@ -84,7 +84,8 @@ class GradedQuotientAlgebra:
             for sid in prev:
                 if self.info[sid].end == b:
                     candidates.append((ai, sid))
-        col = {c: i for i, c in enumerate(candidates)}
+        # candidates are listed in ascending (arrow, sub id) order, the
+        # order rref picks pivots in, so the free ones become the basis
         rows = []
         for rel in self.relations:
             r = len(rel[0][1]) - 1
@@ -96,7 +97,7 @@ class GradedQuotientAlgebra:
                     continue
                 # quotient rows are relation . A_{l-r}; relations appearing
                 # deeper inside a path are already reduced away in A_{l-1}
-                row = [Fraction(0)] * len(candidates)
+                row = {}
                 for c, p in rel:
                     inner = {sid: Fraction(1)}
                     for t in range(len(p) - 1, 1, -1):
@@ -106,27 +107,26 @@ class GradedQuotientAlgebra:
                     for mid, mc in inner.items():
                         # reduction preserves endpoints, so the pair is
                         # always a listed candidate
-                        row[col[(alpha, mid)]] += c * mc
-                if any(row):
+                        row[(alpha, mid)] = row.get((alpha, mid), 0) + c * mc
+                if any(row.values()):
                     rows.append(row)
-        red, pivots = rref(rows) if rows else ([], [])
-        pivot_set = set(pivots)
-        free = [i for i in range(len(candidates)) if i not in pivot_set]
+        red = rref(rows) if rows else {}
         ids = {}
         new_ids = []
-        for i in free:
-            ai, sid = candidates[i]
+        for cand in candidates:
+            if cand in red:
+                continue
+            ai, sid = cand
             info = self.info[sid]
             bid = len(self.info)
             self.info.append(_BasisInfo(
                 l, self.arrows[ai][0], info.start,
-                (self.arrows[ai][0],) + info.path, (ai, sid)))
-            ids[i] = bid
+                (self.arrows[ai][0],) + info.path, cand))
+            ids[cand] = bid
             new_ids.append(bid)
-            self.reduce_table[candidates[i]] = {bid: Fraction(1)}
-        for row, p in zip(red, pivots):
-            self.reduce_table[candidates[p]] = {
-                ids[f]: -row[f] for f in free if row[f]}
+            self.reduce_table[cand] = {bid: Fraction(1)}
+        for p, row in red.items():
+            self.reduce_table[p] = {ids[f]: -c for f, c in row.items() if f != p}
         self.by_degree.append(new_ids)
 
     # -- queries ---------------------------------------------------------------
@@ -208,16 +208,6 @@ class GradedQuotientAlgebra:
     def scale(self, x: Element, c) -> Element:
         c = Fraction(c)
         return {i: s * c for i, s in x.items()} if c else {}
-
-    def describe(self, x: Element) -> str:
-        if not x:
-            return "0"
-        parts = []
-        for i in sorted(x):
-            path = "(" + "|".join(str(v) for v in self.info[i].path) + ")"
-            c = x[i]
-            parts.append(f"{c}*{path}" if c != 1 else path)
-        return " + ".join(parts)
 
 
 def build_algebra(vertices, arrows, relations,

@@ -10,7 +10,8 @@ Standard modules Delta(i) = C(i) / C(<i) for the order 1 < 5 < 6, the
 proper standard bar-Delta(5), the filtration of Delta(5), and the
 2-periodic minimal projective resolution of the simple module L(1) are
 all transcribed from the printed bases and differentials and verified by
-exact linear algebra over Q.
+exact linear algebra over Q: spans, ranks and the radical solve all run on
+the sparse echelon ``exactla.Span``, with vectors keyed by ambient basis id.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from ..exactla import Span, nullspace
 from ..qseries import BigradedPolynomial, bigraded_expand_homofunknot
 from .algebra import GradedQuotientAlgebra, build_algebra, idempotent_subalgebra
 from . import constants as data
@@ -56,60 +58,6 @@ def gl4_algebra() -> GradedQuotientAlgebra:
 
 def gl4_corner():
     return idempotent_subalgebra(gl4_algebra(), KEEP)
-
-
-# -- sparse spans of homogeneous vectors --------------------------------------
-
-def _reduce(rows, v):
-    v = dict(v)
-    for p in sorted(set(rows) & set(v)):
-        c = v.get(p)
-        if not c:
-            continue
-        for k, rc in rows[p].items():
-            nv = v.get(k, Fraction(0)) - c * rc
-            if nv:
-                v[k] = nv
-            elif k in v:
-                del v[k]
-    return v
-
-
-class Span:
-    """Echelonized span of homogeneous vectors (dict key -> Fraction)."""
-
-    def __init__(self, vectors=()):
-        self.rows: dict = {}
-        for v in vectors:
-            self.add(v)
-
-    def add(self, v) -> bool:
-        r = _reduce(self.rows, v)
-        if not r:
-            return False
-        p = min(r)
-        inv = 1 / r[p]
-        self.rows[p] = {k: c * inv for k, c in r.items()}
-        # keep older rows reduced against the new pivot
-        for q, row in list(self.rows.items()):
-            if q != p and row.get(p):
-                c = row[p]
-                new = dict(row)
-                for k, rc in self.rows[p].items():
-                    nv = new.get(k, Fraction(0)) - c * rc
-                    if nv:
-                        new[k] = nv
-                    elif k in new:
-                        del new[k]
-                self.rows[q] = new
-        return True
-
-    def contains(self, v) -> bool:
-        return not _reduce(self.rows, v)
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
 
 
 def span_dim(vectors) -> int:
@@ -220,27 +168,18 @@ def standard_modules_gl4() -> dict:
     by_deg: dict[int, list[int]] = {}
     for b in quot_basis:
         by_deg.setdefault(A.info[b].degree, []).append(b)
-    for d, bs in by_deg.items():
-        # v = sum x_m b_m must satisfy w.v in C(<5) for all w in ann
+    for bs in by_deg.values():
+        # v = sum x_m b_m must satisfy w.v in C(<5) for all w in ann: one
+        # row per (w, coordinate of the residue), over the columns m
         rows = []
         for w in ann:
-            images = [_reduce(low5.rows, A.mul(w, _unit(b))) for b in bs]
-            keys = sorted({k for im in images for k in im})
-            for k in keys:
-                rows.append([im.get(k, Fraction(0)) for im in images])
-        if not rows:
-            sols = [[Fraction(1) if m == j else Fraction(0)
-                     for m in range(len(bs))] for j in range(len(bs))]
-        else:
-            from ..exactla import nullspace
-            sols = nullspace(rows)
-        for sol in sols:
-            v = {}
-            for b, c in zip(bs, sol):
-                if c:
-                    v[b] = c
-            if v:
-                rad_images.append(v)
+            by_key: dict = {}
+            for m, b in enumerate(bs):
+                for k, c in low5.reduce(A.mul(w, _unit(b))).items():
+                    by_key.setdefault(k, {})[m] = c
+            rows.extend(by_key.values())
+        rad_images.extend({bs[m]: c for m, c in sol.items()}
+                          for sol in nullspace(rows, len(bs)))
     S = _submodule_span(A, rad_images, base=low5)
     printed_S = Span(low5.rows.values())
     for path in S_ELEMENTS[:6]:

@@ -82,17 +82,9 @@ def gor_d_squared_zero(h_bound: int = -8, q_bound: int = 40) -> bool:
 
 def _rank_at(h: int, q: int) -> int:
     """Rank of d restricted to bidegree (h, q) -> (h + 1, q)."""
-    src = _monomials_at(h, q)
-    tgt = {m: i for i, m in enumerate(_monomials_at(h + 1, q))}
-    rows = []
-    for m in src:
-        img = gor_d({m: Fraction(1)})
-        row = [Fraction(0)] * len(tgt)
-        for t, c in img.items():
-            row[tgt[t]] = c
-        rows.append(row)
-    rows = [r for r in rows if any(r)]
-    return rank(rows) if rows and tgt else 0
+    rows = [r for r in (gor_d({m: Fraction(1)}) for m in _monomials_at(h, q))
+            if r]
+    return rank(rows) if rows else 0
 
 
 def gor_homology(h_bound: int = -8, q_bound: int = 40) -> BigradedPolynomial:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle.exactla import Poly, nullspace, rank, rref
+from qtangle.exactla import Poly, Span, nullspace, rank, rref
 
 
 @st.composite
@@ -66,30 +66,95 @@ class TestPoly:
         assert q == Poly.make(3, {(2, 1, 0): 5})
 
 
+def sparse(rows):
+    """Dense rows as sparse rows keyed by column index."""
+    return [{j: Fraction(x) for j, x in enumerate(r) if x} for r in rows]
+
+
+def apply_row(row, v):
+    return sum(c * v.get(k, 0) for k, c in row.items())
+
+
 class TestLinearAlgebra:
     def test_rref_known_matrix(self):
-        rows = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
-        red, pivots = rref(rows)
-        assert pivots == [0]
-        assert red == [[Fraction(1), Fraction(2)]]
+        red = rref(sparse([[1, 2], [2, 4]]))
+        assert list(red) == [0]
+        assert red == {0: {0: Fraction(1), 1: Fraction(2)}}
 
     def test_rank(self):
-        rows = [[1, 0, 1], [0, 1, 1], [1, 1, 2]]
-        assert rank([[Fraction(x) for x in r] for r in rows]) == 2
+        assert rank(sparse([[1, 0, 1], [0, 1, 1], [1, 1, 2]])) == 2
 
     def test_nullspace_kernel_vectors_annihilate(self):
-        rows = [[Fraction(1), Fraction(2), Fraction(3)],
-                [Fraction(0), Fraction(1), Fraction(1)]]
-        for v in nullspace(rows):
+        rows = sparse([[1, 2, 3], [0, 1, 1]])
+        kernel = nullspace(rows, 3)
+        assert len(kernel) == 1
+        for v in kernel:
             for r in rows:
-                assert sum(a * b for a, b in zip(r, v)) == 0
+                assert apply_row(r, v) == 0
 
     def test_rank_nullity(self):
-        rows = [[Fraction(1), Fraction(1), Fraction(0), Fraction(2)],
-                [Fraction(0), Fraction(0), Fraction(1), Fraction(1)],
-                [Fraction(1), Fraction(1), Fraction(1), Fraction(3)]]
-        assert rank(rows) + len(nullspace(rows)) == 4
+        rows = sparse([[1, 1, 0, 2], [0, 0, 1, 1], [1, 1, 1, 3]])
+        assert rank(rows) + len(nullspace(rows, 4)) == 4
 
     def test_empty_matrix(self):
+        # a 0 x 3 matrix has the whole of Q^3 as its kernel
         assert rank([]) == 0
-        assert nullspace([]) == []
+        assert nullspace([], 3) == [{0: 1}, {1: 1}, {2: 1}]
+
+    def test_zero_entries_and_rows_are_ignored(self):
+        assert rank([{0: Fraction(0)}, {}]) == 0
+        assert rref([{0: 0, 1: Fraction(2)}]) == {1: {1: Fraction(1)}}
+
+    def test_pivots_follow_key_order(self):
+        # any comparable keys: the pivot of a row is its least key
+        rows = [{("b", 1): Fraction(2), ("a", 2): Fraction(1)},
+                {("a", 2): Fraction(1), ("c", 0): Fraction(3)}]
+        red = rref(rows)
+        assert list(red) == [("a", 2), ("b", 1)]
+        assert red[("a", 2)] == {("a", 2): 1, ("c", 0): 3}
+        assert red[("b", 1)] == {("b", 1): 1, ("c", 0): Fraction(-3, 2)}
+
+    def test_span_add_and_contains(self):
+        sp = Span()
+        assert sp.add({1: Fraction(1), 2: Fraction(1)})
+        assert sp.add({2: Fraction(2)})
+        assert not sp.add({1: Fraction(3), 2: Fraction(-1)})
+        assert sp.dim == 2
+        assert sp.contains({1: Fraction(5)}) and not sp.contains({3: 1})
+        assert sp.reduce({1: Fraction(1), 3: Fraction(4)}) == {3: 4}
+
+
+entries = st.one_of(st.just(Fraction(0)),
+                    st.fractions(min_value=-3, max_value=3, max_denominator=3))
+
+
+@st.composite
+def matrices(draw):
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    nrows = draw(st.integers(min_value=0, max_value=5))
+    dense = [[draw(entries) for _ in range(ncols)] for _ in range(nrows)]
+    return sparse(dense), ncols
+
+
+class TestEchelonProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(), st.data())
+    def test_echelon_invariants(self, matrix, data):
+        rows, ncols = matrix
+        red = rref(rows)
+        pivots = list(red)
+        assert pivots == sorted(pivots)
+        for p, row in red.items():
+            assert list(row) == sorted(row)
+            assert min(row) == p and row[p] == 1
+            assert all(row.get(q, 0) == 0 for q in pivots if q != p)
+        span = Span(rows)
+        assert span.dim == len(red)
+        assert all(span.contains(r) for r in rows)
+        # the echelon rows span the same space as the input
+        assert all(Span(red.values()).contains(r) for r in rows)
+        kernel = nullspace(rows, ncols)
+        assert rank(rows) + len(kernel) == ncols
+        assert all(apply_row(r, v) == 0 for r in rows for v in kernel)
+        shuffled = data.draw(st.permutations(rows))
+        assert rref(shuffled) == red

@@ -231,6 +231,30 @@ class TestCoefficientTypes:
                             LaurentSeries.make(0, [2]))
         assert q.coeffs == (Fraction(1, 2), Fraction(1, 2))
 
+    def test_poly_divmod_returns_the_true_remainder(self):
+        # 1 + q is not a multiple of 1 + q^2; this division used to loop
+        # forever, and every remainder came back zero
+        a = LaurentSeries.make(0, [1, 1])
+        b = LaurentSeries.make(0, [1, 0, 1])
+        q, r = _poly_divmod(a, b)
+        assert q.is_zero() and r == a
+        # exact, off degree 0
+        q, r = _poly_divmod(LaurentSeries.make(-3, [1, 2, 1]),
+                            LaurentSeries.make(2, [1, 1]))
+        assert q == LaurentSeries.make(-5, [1, 1]) and r.is_zero()
+
+    @settings(max_examples=60, deadline=None)
+    @given(laurent(polynomial_only=True), laurent(polynomial_only=True))
+    def test_poly_divmod_identity(self, a, b):
+        if b.is_zero():
+            return
+        q, r = _poly_divmod(a, b)
+        assert q * b + r == a
+        if not r.is_zero():
+            assert r.min_deg >= a.min_deg
+            assert r.top_deg() - a.min_deg < len(b.coeffs) - 1
+        assert _poly_divmod(a * b, b) == (a, LaurentSeries.zero())
+
     def test_no_float_after_arithmetic(self):
         rng = random.Random(5)
         for _ in range(50):
