@@ -19,8 +19,8 @@ from .qseries import DEFAULT_PRECISION, bigraded_expand_homofunknot
 from .tangle import MoveKind, ParseError, ValidationError, parse, validate
 from .intertwiner import (charJW_check, jones_wenzl, jones_wenzl_divided,
                           slide_identity_checks)
-from .invariant import Mode, link_invariant, normalized_invariant, \
-    verify_invariance
+from .invariant import DiagramTooLarge, Mode, link_invariant, \
+    normalized_invariant, verify_invariance
 from .grasscoh import build_cohomology, wolffhardt_complex
 from .quiverkat import (euler_characteristic_vs_p2, ext_self_L1, gl2_algebra,
                         gl3_algebra, gl4_algebra, gl4_corner,
@@ -136,7 +136,10 @@ def _cmd_eval(args) -> int:
     except ValidationError as e:
         print(f"eval: validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATE
-    res = normalized_invariant(d, args.precision, Mode(args.mode))
+    try:
+        res = normalized_invariant(d, args.precision, Mode(args.mode))
+    except DiagramTooLarge as e:
+        return _invalid("eval", str(e))
     is_link = not d.bottom and not top
     report = {
         "command": "eval",

@@ -3,18 +3,25 @@
 phi evaluates a cabled (all colour-1) diagram slice by slice.  phi_coloured
 evaluates a coloured diagram in one of two ways.  The default, Mode.SLICED,
 keeps the state in the tensor product of the coloured modules V_m and applies
-one coloured local map per slice: pi o phi(cabled slice) o iota on just the
-strands the slice touches, built once per (kind, colours, precision) and
-cached.  Mode.GLOBAL, the independent reference, evaluates the full cabling
-between one inclusion/projection sandwich, with a projector at every coloured
-cup.  The framing normalization multiplies by q^{3 gamma} where gamma is the
-oriented crossing count of the cabling.
+one local map per slice, on just the strands the slice touches.  Each map is
+written in closed form by _coloured_local and cached per (kind, colours,
+precision): a crossing of V_a and V_b from the quasi-R-matrix
+Theta = sum_n theta_n E^(n) (x) F^(n) and the weight factor (Kirby-Melvin,
+Invent. Math. 105, 1991; Lusztig, Introduction to Quantum Groups, 1993), a
+cap and a cup from quantum binomials.  Crossings and caps are exact; a cup
+of colour m >= 2 carries inverted binomials with a validity window.
+Mode.GLOBAL, the independent reference, evaluates the full cabling between
+one inclusion/projection sandwich, with a projector at every coloured cup.
+The framing normalization multiplies by q^{3 gamma}, where gamma, from
+tangle.writhe_gamma, is the oriented crossing count of the cabling.
+phi_coloured refuses, before any work, a diagram whose largest slice state
+has more than MAX_STATE basis vectors or whose closed-form maps would pass
+MAX_MAP_SIZE.
 
-Both modes, phi and the construction of the coloured maps keep each column
-under evaluation as a _State: per basis index, the entry's coefficients by
-degree and its validity window.  _apply_local maps one state to the next
-through the one convolution kernel of qseries and builds no series; the
-columns become series once, when the finished map is made.
+Every column under evaluation is a _State: per basis index, the entry's
+coefficients by degree and its validity window.  _apply_local maps one
+state to the next through the one convolution kernel of qseries and builds
+no series; the columns become series once, when the finished map is made.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from typing import NamedTuple
 
 from .qseries import (DEFAULT_PRECISION, LaurentSeries, convolve_into,
                       product_window)
-from .uqsl2 import ModuleElement, basis_indices, weight
+from .uqsl2 import ModuleElement, basis_indices
 from .intertwiner import (Intertwiner, cap, crossing_neg, crossing_pos, cup,
                           inclusion, inclusion_list, projection,
                           projection_list)
@@ -36,7 +43,7 @@ from .tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                      random_diagram, validate, writhe_gamma)
 
 __all__ = [
-    "Mode", "InvariantResult",
+    "Mode", "InvariantResult", "DiagramTooLarge",
     "phi", "phi_coloured", "normalized_invariant", "link_invariant",
     "verify_invariance",
 ]
@@ -90,11 +97,15 @@ class _Local(NamedTuple):
     columns: dict
 
 
+def _term(jdx: tuple[int, ...], c: LaurentSeries) -> tuple:
+    """One term of a _Local column: c as the image's entry at jdx."""
+    return jdx, tuple(c.support().items()), c.min_deg, c.valid_to
+
+
 @lru_cache(maxsize=None)
 def _local(mid: Intertwiner) -> _Local:
     return _Local(len(mid.source), mid.target, {
-        idx: tuple((jdx, tuple(c.support().items()), c.min_deg, c.valid_to)
-                   for jdx, c in img.coords)
+        idx: tuple(_term(jdx, c) for jdx, c in img.coords)
         for idx, img in mid.columns})
 
 
@@ -160,9 +171,8 @@ def _basis_states(colours: tuple[int, ...]) -> dict:
             for idx in basis_indices(colours)}
 
 
-def _apply_all(mid: Intertwiner, i: int, columns: dict) -> dict:
+def _apply_all(local: _Local, i: int, columns: dict) -> dict:
     """_apply_local on every column of a map under construction."""
-    local = _local(mid)
     return {idx: _apply_local(local, i, v) for idx, v in columns.items()}
 
 
@@ -181,75 +191,174 @@ def phi(d: ColouredDiagram, precision: int = DEFAULT_PRECISION) -> Intertwiner:
     src = (1,) * len(d.bottom)
     columns = _basis_states(src)
     for s in d.slices:
-        columns = _apply_all(_slice_mid(s.kind), s.pos, columns)
+        columns = _apply_all(_local(_slice_mid(s.kind)), s.pos, columns)
     return _finish(src, (1,) * len(top), columns)
 
 
 @lru_cache(maxsize=None)
-def _readout(m: int) -> Intertwiner:
-    """Read v_k off the coefficient of the sorted sequence 0..01..1 (k ones).
+def _binomials(n: int) -> tuple[LaurentSeries, ...]:
+    """The row [n, 0], ..., [n, n] of quantum binomials.
 
-    iota_m(v_k) carries coefficient 1 there, so this is an exact left
-    inverse of iota_m and agrees with pi_m on the image of iota_m, without
-    pi_m's inverted binomials.
+    [n, k] = q^(-k(n-k)) g_k(q^2) for the Gaussian binomial
+    g_k = g_(k-1) (1 - x^(n-k+1)) / (1 - x^k), so each entry takes one
+    multiplication and one exact division of integer lists: about n^3/6
+    steps for the row, with nothing recursing and no other row kept.
     """
-    def col(a):
-        if list(a) != sorted(a):
-            return ModuleElement.zero((m,))
-        return ModuleElement.make((m,), {(sum(a),): LaurentSeries.one()})
-
-    return Intertwiner.from_function((1,) * m, (m,), col)
+    row = [LaurentSeries.one()]
+    g = [1]
+    for k in range(1, n + 1):
+        s = n - k + 1
+        g += [0] * s
+        for e in range(len(g) - 1, s - 1, -1):
+            g[e] -= g[e - s]
+        for e in range(k, len(g)):
+            g[e] += g[e - k]
+        del g[len(g) - k:]
+        coeffs = [0] * (2 * len(g) - 1)
+        coeffs[::2] = g
+        row.append(LaurentSeries.make(-k * (n - k), coeffs))
+    return tuple(row)
 
 
 @lru_cache(maxsize=None)
-def _coloured_map(kind: str, colours: tuple[int, ...],
-                  prec: int) -> Intertwiner:
-    """pi o phi(cable(slice)) o iota for one coloured slice.
+def _theta(n: int) -> LaurentSeries:
+    """theta_n = (-1)^n q^(-n(n-1)/2) (q - q^-1)^n [n]!, the coefficient of
+    E^(n) (x) F^(n) in the quasi-R-matrix; theta_n / theta_(n-1) = q^(1-2n) - q."""
+    if n == 0:
+        return LaurentSeries.one()
+    return _theta(n - 1) * LaurentSeries.from_dict({1 - 2 * n: 1, 1: -1})
 
-    The map acts only on the strands the slice touches: ``colours`` is the
-    cup's colour, or the colours of the two points a cap or crossing joins.
-    Orientation enters only the writhe, so the slice is built with an
-    arbitrary one.  Colour-1 strands need no inclusion or projection.
 
-    Jones-Wenzl projectors slide through crossings and around cups, so a
-    crossing's output and a cup's output once its left strand is projected
-    lie in the image of the inclusions.  There pi agrees with the exact
-    _readout: crossings and caps come out exact, and a cup carries one
-    windowed projection, as it does in the global mode.
+@lru_cache(maxsize=None)
+def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
+    """The local map of one coloured slice, in closed form.
+
+    ``colours`` is the cup's colour, or the colours (a, b) of the two points
+    a cap or crossing joins.  With w_i = 2i - a on V_a, w_j = 2j - b on V_b,
+    theta_n as in _theta and its bar image thetabar_n (q -> q^-1):
+
+      pos  v_i (x) v_j -> (-1)^(ab) sum_(n <= min(a-i, j)) theta_n [i+n, n]
+           [b-j+n, n] q^((-3ab - w_(i+n) w_(j-n))/2) v_(j-n) (x) v_(i+n)
+      neg  v_i (x) v_j -> (-1)^(ab) q^((3ab + w_i w_j)/2) sum_(n <= min(b-j, i))
+           thetabar_n [j+n, n] [a-i+n, n] v_(j+n) (x) v_(i-n)
+      cap  v_k (x) v_(m-k) -> (-1)^k q^(-k(k-m+1)) [m, k]
+      cup  1 -> sum_j (-1)^j q^(j(j-m+1)) [m, j]^-1 v_(m-j) (x) v_j
+
+    This is pi o phi(cable(slice)) o iota, the cabled slice between the
+    Jones-Wenzl inclusions and projections, entry for entry, windows
+    included; orientation enters only the writhe.  Crossings and caps are
+    exact.  A cup of colour m >= 2 takes every inverse to ``prec`` terms,
+    the window of the projection on its left strand, so entry j is valid to
+    degree j + prec - 1; a colour-1 cup is exact.
     """
     if kind == "cup":
-        piece = ColouredDiagram("slice", (), (Slice("cup", 1, colours[0], True),))
-    else:
-        piece = ColouredDiagram(
-            "slice", (BoundaryPoint(colours[0], True),
-                      BoundaryPoint(colours[1], False)), (Slice(kind, 1),))
-    src = tuple(p.colour for p in piece.bottom)
-    tgt = tuple(p.colour for p in validate(piece))
-    # every slice map preserves weight, so a source vector of a weight the
-    # target lacks (any but 0 under a cap) maps to zero
-    weights = {weight(tgt, j) for j in basis_indices(tgt)}
-    columns = {idx: v for idx, v in _basis_states(src).items()
-               if weight(src, idx) in weights}
-    # inclusions right to left and projections left to right, so that the
-    # factors not yet expanded or already collapsed keep one slot each
-    for j in reversed(range(len(src))):
-        if src[j] > 1:
-            columns = _apply_all(inclusion(src[j]), j + 1, columns)
-    for s in cable(piece).slices:
-        columns = _apply_all(_slice_mid(s.kind), s.pos, columns)
-    for j, m in enumerate(tgt):
-        if m > 1:
-            pi = projection(m, prec) if kind == "cup" and j == 0 \
-                else _readout(m)
-            columns = _apply_all(pi, j + 1, columns)
-    return _finish(src, tgt, columns)
+        m, = colours
+        terms = []
+        for j in range(m + 1):
+            c = _binomials(m)[j]
+            if m > 1:
+                c = c.invert(prec)
+            terms.append(_term((m - j, j),
+                               c.shift(j * (j - m + 1)).scale((-1) ** j)))
+        return _Local(0, (m, m), {(): tuple(terms)})
+    a, b = colours
+    if kind == "cap":
+        return _Local(2, (), {
+            (k, a - k): (_term((), _binomials(a)[k].shift(-k * (k - a + 1))
+                               .scale((-1) ** k)),)
+            for k in range(a + 1)})
+    sign = (-1) ** (a * b)
+    columns = {}
+    for i in range(a + 1):
+        for j in range(b + 1):
+            terms = []
+            if kind == "pos":
+                for n in range(min(a - i, j) + 1):
+                    c = _theta(n) * _binomials(i + n)[n] * \
+                        _binomials(b - j + n)[n]
+                    e = (-3 * a * b - (2 * (i + n) - a) * (2 * (j - n) - b)) // 2
+                    terms.append(_term((j - n, i + n), c.shift(e).scale(sign)))
+            else:
+                e = (3 * a * b + (2 * i - a) * (2 * j - b)) // 2
+                for n in range(min(b - j, i) + 1):
+                    c = _theta(n).bar() * _binomials(j + n)[n] * \
+                        _binomials(a - i + n)[n]
+                    terms.append(_term((j + n, i - n), c.shift(e).scale(sign)))
+            columns[i, j] = tuple(terms)
+    return _Local(2, (b, a), columns)
 
 
-def _shift_budget(d: ColouredDiagram) -> int:
-    # worst-case window loss across all the q-power multiplications; the
-    # actual loss is usually near zero because raises and lowers cancel
-    c = cable(d)
-    return sum(2 for s in c.slices) + 2 * sum(p.colour for p in d.bottom) + 8
+class DiagramTooLarge(ValueError):
+    """A diagram over MAX_STATE or MAX_MAP_SIZE, refused before any work."""
+
+
+# the largest slice state phi_coloured takes on: its number of basis
+# vectors, prod(m_i + 1) over the coloured points of a slice in Mode.SLICED
+# and 2^(cabled width) in Mode.GLOBAL
+MAX_STATE = 2 ** 20
+
+# the most closed-form map phi_coloured builds in Mode.SLICED, summed over
+# the distinct slice maps of a diagram: each map's terms times a bound on a
+# term's degree span, (a+1)(b+1)(min(a,b)+1)(ab+1) for a crossing of colours
+# a and b and (m+1)(m^2/4+1) for a cup or cap of colour m.  A map at the
+# limit, a crossing of colour 11 or a cap of colour 100, takes about a
+# second to build.
+MAX_MAP_SIZE = 2 ** 18
+
+
+def _state_size(state: list[BoundaryPoint], mode: Mode) -> int:
+    if mode is Mode.GLOBAL:
+        return 2 ** sum(p.colour for p in state)
+    size = 1
+    for p in state:
+        size *= p.colour + 1
+    return size
+
+
+def _touched(s: Slice, state: list[BoundaryPoint]) -> tuple[int, ...]:
+    """The colours _coloured_local takes for slice s above this state."""
+    if s.kind == "cup":
+        return (s.colour,)
+    return tuple(p.colour for p in state[s.pos - 1:s.pos + 1])
+
+
+def _map_size(kind: str, colours: tuple[int, ...]) -> int:
+    if kind == "cup" or kind == "cap":
+        m = colours[0]
+        return (m + 1) * (m * m // 4 + 1)
+    a, b = colours
+    return (a + 1) * (b + 1) * (min(a, b) + 1) * (a * b + 1)
+
+
+def _check_size(d: ColouredDiagram, states: list, mode: Mode) -> None:
+    size = max(_state_size(state, mode) for state in states)
+    if size > MAX_STATE:
+        raise DiagramTooLarge(
+            f"a slice state of {size} basis vectors in {mode.value} mode "
+            f"is over the limit of {MAX_STATE}")
+    if mode is Mode.SLICED:
+        maps = {(s.kind, _touched(s, state))
+                for s, state in zip(d.slices, states)}
+        size = sum(_map_size(kind, colours) for kind, colours in maps)
+        if size > MAX_MAP_SIZE:
+            raise DiagramTooLarge(
+                f"slice maps of about {size} coefficients in sliced mode "
+                f"are over the limit of {MAX_MAP_SIZE}")
+
+
+def _shift_budget(d: ColouredDiagram, states: list) -> int:
+    # worst-case window loss across all the q-power multiplications, two per
+    # cabled slice; the actual loss is usually near zero because raises and
+    # lowers cancel
+    cabled = 0
+    for s, state in zip(d.slices, states):
+        if s.kind == "cup":
+            cabled += s.colour
+        elif s.kind == "cap":
+            cabled += state[s.pos - 1].colour
+        else:
+            cabled += state[s.pos - 1].colour * state[s.pos].colour
+    return 2 * cabled + 2 * sum(p.colour for p in d.bottom) + 8
 
 
 def _achieved_window(out: Intertwiner, precision: int) -> bool:
@@ -267,22 +376,26 @@ def phi_coloured(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,
                  mode: Mode = Mode.SLICED) -> Intertwiner:
     """The intertwiner of a coloured diagram, evaluated in the given mode.
 
-    The internal precision starts slightly above the requested one and is
-    escalated (up to the worst-case shift budget of the diagram) whenever
-    the computed entries come back with too narrow a validity window.
+    A diagram with a slice state of more than MAX_STATE basis vectors, or
+    in Mode.SLICED with slice maps over MAX_MAP_SIZE, is refused with
+    DiagramTooLarge before any work.  The internal precision starts
+    slightly above the requested one and is escalated (up to the worst-case
+    shift budget of the diagram) whenever the computed entries come back
+    with too narrow a validity window.
     """
-    cap = _shift_budget(d)
+    states = boundary_states(d)
+    _check_size(d, states, mode)
+    cap = _shift_budget(d, states)
     budgets = sorted({min(8, cap), min(32, cap), cap})
     for i, budget in enumerate(budgets):
-        out = _phi_coloured_once(d, precision + budget, mode)
+        out = _phi_coloured_once(d, states, precision + budget, mode)
         if i == len(budgets) - 1 or _achieved_window(out, precision):
             return out
     raise AssertionError("unreachable")
 
 
-def _phi_coloured_once(d: ColouredDiagram, prec: int,
+def _phi_coloured_once(d: ColouredDiagram, states: list, prec: int,
                        mode: Mode) -> Intertwiner:
-    states = boundary_states(d)
     src = tuple(p.colour for p in d.bottom)
     tgt = tuple(p.colour for p in states[-1])
     if mode is Mode.GLOBAL:
@@ -295,29 +408,30 @@ def _phi_coloured_once(d: ColouredDiagram, prec: int,
         for s, state in zip(d.slices, states):
             piece = ColouredDiagram("slice", tuple(state), (s,))
             for cs in cable(piece).slices:
-                columns = _apply_all(_slice_mid(cs.kind), cs.pos, columns)
+                columns = _apply_all(_local(_slice_mid(cs.kind)), cs.pos,
+                                     columns)
             if s.kind == "cup" and s.colour >= 2:
                 # p_m = iota_m o pi_m, applied as two local maps so that the
                 # intermediate vector passes through the small collapsed slot
                 start = 1 + sum(p.colour for p in state[:s.pos - 1])
-                columns = _apply_all(projection(s.colour, prec), start, columns)
-                columns = _apply_all(inclusion(s.colour), start, columns)
-        columns = _apply_all(projection_list(tgt, prec), 1, columns)
+                columns = _apply_all(_local(projection(s.colour, prec)),
+                                     start, columns)
+                columns = _apply_all(_local(inclusion(s.colour)), start,
+                                     columns)
+        columns = _apply_all(_local(projection_list(tgt, prec)), 1, columns)
         return _finish(src, tgt, columns)
     # sliced: the state lives in the tensor product of the coloured modules
     columns = _basis_states(src)
     for s, state in zip(d.slices, states):
-        touched = (s.colour,) if s.kind == "cup" else \
-            tuple(p.colour for p in state[s.pos - 1:s.pos + 1])
-        columns = _apply_all(_coloured_map(s.kind, touched, prec), s.pos,
-                             columns)
+        columns = _apply_all(_coloured_local(s.kind, _touched(s, state), prec),
+                             s.pos, columns)
     return _finish(src, tgt, columns)
 
 
 def normalized_invariant(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,
                          mode: Mode = Mode.SLICED,
                          flip_gamma_sign: bool = False) -> InvariantResult:
-    gamma = writhe_gamma(cable(d), flip_sign=flip_gamma_sign)
+    gamma = writhe_gamma(d, flip_sign=flip_gamma_sign)
     raw = phi_coloured(d, precision, mode)
     return InvariantResult(raw.scale(LaurentSeries.monomial(3 * gamma)), gamma, True)
 

@@ -214,24 +214,25 @@ def cable(d: ColouredDiagram) -> ColouredDiagram:
 # -- writhe -------------------------------------------------------------------
 
 def writhe_gamma(d: ColouredDiagram, flip_sign: bool = False) -> int:
-    """Signed count of crossings whose two strands are equally oriented.
+    """Signed count of the cabled crossings whose two strands are equally
+    oriented.
 
-    A pos crossing on two equally oriented strands counts +1, a neg crossing
-    counts -1; crossings between oppositely oriented strands count 0.  The
-    sign is the one fixed by the curl calibration: the right pos-curl has
-    intertwiner q^{-3} Id, compensated by gamma = +1.  ``flip_sign`` selects
-    the rejected opposite convention (used as a negative control).
+    A pos crossing of colours a and b on two equally oriented strands counts
+    +ab, a neg crossing -ab: it cables into ab crossings, each between one
+    strand of either side.  Crossings between oppositely oriented strands
+    count 0.  The sign is the one fixed by the curl calibration: the right
+    pos-curl has intertwiner q^{-3} Id, compensated by gamma = +1.
+    ``flip_sign`` selects the rejected opposite convention (used as a
+    negative control).
     """
-    if any(p.colour != 1 for p in d.bottom) or any(
-            s.kind == "cup" and s.colour != 1 for s in d.slices):
-        raise ValueError("writhe_gamma expects a cabled (all colour-1) diagram")
     states = boundary_states(d)
     gamma = 0
     for s, state in zip(d.slices, states):
         if s.kind in ("pos", "neg"):
             a, b = state[s.pos - 1], state[s.pos]
             if a.up == b.up:
-                gamma += 1 if s.kind == "pos" else -1
+                ab = a.colour * b.colour
+                gamma += ab if s.kind == "pos" else -ab
     return -gamma if flip_sign else gamma
 
 

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, JSON output, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -69,6 +70,28 @@ class TestEval:
         code, _, err = run(capsys, ["eval", str(f)])
         assert code == EXIT_VALIDATE
         assert "validation error" in err
+
+    @pytest.mark.parametrize("mode", ["sliced", "global"])
+    def test_oversized_state_exit_3_at_once(self, capsys, tmp_path, mode):
+        # 31^6 basis vectors on the three colour-30 cups; the guard answers
+        # before the first cup's map is built
+        f = tmp_path / "big.tangle"
+        f.write_text("bottom\n" + "cup 1 30 u\n" * 3 + "cap 1\n" * 3)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, ["eval", str(f), "--mode", mode])
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_VALIDATE and out == ""
+        assert err.count("\n") == 1 and "over the limit" in err
+
+    def test_oversized_maps_exit_3_at_once(self, capsys, tmp_path):
+        # the colour-1000 unknot passes the state limit, not the map limit
+        f = tmp_path / "big.tangle"
+        f.write_text("bottom\ncup 1 1000 u\ncap 1\n")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, ["eval", str(f)])
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_VALIDATE and out == ""
+        assert err.count("\n") == 1 and "over the limit" in err
 
     def test_missing_file_exit_3(self, capsys, tmp_path):
         code, _, _ = run(capsys, ["eval", str(tmp_path / "nope.tangle")])

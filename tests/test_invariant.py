@@ -1,18 +1,24 @@
 """Diagram evaluation, framing normalization, and the invariance harness."""
 
 import random
+import time
+from functools import lru_cache
 
 import pytest
 
 from qtangle.intertwiner import Intertwiner, inclusion, positioned, projection
-from qtangle.invariant import (Mode, _apply_local, _coloured_map, _element,
-                               _local, _slice_mid, _state, link_invariant,
+from qtangle.invariant import (MAX_STATE, DiagramTooLarge, Mode,
+                               _apply_all, _apply_local, _basis_states,
+                               _binomials, _coloured_local,
+                               _element, _finish, _local, _slice_mid, _state,
+                               _theta, link_invariant,
                                normalized_invariant, phi, phi_coloured,
                                verify_invariance)
-from qtangle.qseries import LaurentSeries, quantum_integer
-from qtangle.uqsl2 import ModuleElement, basis_indices
-from qtangle.tangle import (BoundaryPoint, MoveKind, cable, parse,
-                            random_diagram, random_link)
+from qtangle.qseries import LaurentSeries, quantum_binomial, quantum_integer
+from qtangle.uqsl2 import ModuleElement, basis_indices, weight
+from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
+                            cable, parse, random_diagram, random_link,
+                            validate)
 
 PREC = 32
 
@@ -40,9 +46,11 @@ class TestPhi:
 class TestColouredUnknots:
     """Closed colour-m circles evaluate to (-1)^m [m+1]."""
 
-    @pytest.mark.parametrize("m,sign", [(1, -1), (2, 1), (3, -1)])
+    @pytest.mark.parametrize("m,sign", [(1, -1), (2, 1), (3, -1)] + [
+        (m, (-1) ** m) for m in range(4, 13)])
     def test_values(self, m, sign):
         val = link_invariant(parse(unknot(m)), PREC)
+        assert val.valid_to is None or val.valid_to >= m
         assert val.eq_upto(quantum_integer(m + 1).scale(sign))
 
     def test_two_component_mixed(self):
@@ -88,6 +96,81 @@ def braid_closure(word: list[int], colours: list[int]) -> str:
     lines += [f"{'pos' if g > 0 else 'neg'} {n + abs(g)}" for g in word]
     lines += [f"cap {i}" for i in range(n, 0, -1)]
     return "\n".join(lines) + "\n"
+
+
+class TestHighColours:
+    """High colours against closed forms and symmetries that need no
+    evaluator: windows must cover each value whole."""
+
+    @pytest.mark.parametrize("a", range(1, 7))
+    def test_hopf_links(self, a):
+        # (-1)^(a+b) q^(+-3ab) [(a+1)(b+1)] for the positive and negative
+        # (a, b) Hopf link
+        for b in range(1, 7):
+            for word, sign in (([1, 1], 1), ([-1, -1], -1)):
+                want = quantum_integer((a + 1) * (b + 1)).shift(
+                    3 * a * b * sign).scale((-1) ** (a + b))
+                val = link_invariant(parse(braid_closure(word, [a, b])), 100)
+                assert val.valid_to is None or \
+                    val.valid_to >= want.top_deg(), (a, b, sign)
+                assert val.eq_upto(want), (a, b, sign)
+
+    @pytest.mark.parametrize("m", range(4, 8))
+    def test_trefoil_mirror_symmetry(self, m):
+        # V(mirror D)(q) = V(D)(q^-1), each window reaching the top of the
+        # other's reflection
+        v = link_invariant(parse(braid_closure([1, 1, 1], [m, m])), 200)
+        w = link_invariant(parse(braid_closure([-1, -1, -1], [m, m])), 200)
+        assert v.valid_to >= -w.min_deg and w.valid_to >= -v.min_deg
+        assert {-d: c for d, c in w.support().items()} == v.support()
+
+    def test_colour_seven_trefoil_is_fast(self):
+        for memo in (_coloured_local, _binomials, _theta):
+            memo.cache_clear()
+        t0 = time.monotonic()
+        val = link_invariant(parse(braid_closure([1, 1, 1], [7, 7])), 48)
+        assert time.monotonic() - t0 < 5
+        assert not val.is_zero()
+
+
+class TestSizeGuard:
+    def test_oversized_state_is_refused_before_any_work(self):
+        big = parse("bottom\n" + "cup 1 30 u\n" * 3 + "cap 1\n" * 3)
+        for mode in Mode:
+            _coloured_local.cache_clear()
+            with pytest.raises(DiagramTooLarge, match="over the limit"):
+                phi_coloured(big, PREC, mode)
+            assert _coloured_local.cache_info().currsize == 0
+
+    def test_oversized_maps_are_refused_before_any_work(self):
+        # 1001^2 basis vectors pass MAX_STATE; the colour-1000 cup and cap
+        # do not pass MAX_MAP_SIZE, and neither do two colour-12 crossings
+        assert 1001 ** 2 <= MAX_STATE
+        for text in (unknot(1000), braid_closure([1, 1], [12, 12])):
+            for memo in (_coloured_local, _binomials):
+                memo.cache_clear()
+            t0 = time.monotonic()
+            with pytest.raises(DiagramTooLarge, match="over the limit"):
+                phi_coloured(parse(text), PREC)
+            assert time.monotonic() - t0 < 1
+            assert _coloured_local.cache_info().currsize == 0
+            assert _binomials.cache_info().currsize == 0
+
+    def test_tier_one_colours_are_under_the_map_limit(self):
+        # the colour-7 trefoil, the largest map tier-1 evaluates, and the
+        # colour-11 Hopf link, the largest crossing at the limit
+        for text in (braid_closure([1, 1, 1], [7, 7]),
+                     braid_closure([1, 1], [11, 11])):
+            link_invariant(parse(text), 16)
+
+    def test_global_counts_the_cabled_width(self):
+        # 13^2 coloured states, 2^24 cabled ones
+        d = parse(unknot(12))
+        assert 13 ** 2 <= MAX_STATE < 2 ** 24
+        assert link_invariant(d, PREC, Mode.SLICED).eq_upto(
+            quantum_integer(13))
+        with pytest.raises(DiagramTooLarge, match="over the limit"):
+            link_invariant(d, PREC, Mode.GLOBAL)
 
 
 def window_narrowing(ref: Intertwiner, got: Intertwiner) -> list[str]:
@@ -161,6 +244,103 @@ class TestModes:
             assert link_invariant(d, PREC).valid_to is None, d.name
 
 
+@lru_cache(maxsize=None)
+def readout(m: int) -> Intertwiner:
+    """Read v_k off the coefficient of the sorted sequence 0..01..1 (k ones).
+
+    iota_m(v_k) carries coefficient 1 there, so this is an exact left
+    inverse of iota_m and agrees with pi_m on the image of iota_m, without
+    pi_m's inverted binomials.
+    """
+    def col(a):
+        if list(a) != sorted(a):
+            return ModuleElement.zero((m,))
+        return ModuleElement.make((m,), {(sum(a),): LaurentSeries.one()})
+
+    return Intertwiner.from_function((1,) * m, (m,), col)
+
+
+@lru_cache(maxsize=None)
+def cabled_map(kind: str, colours: tuple[int, ...], prec: int) -> Intertwiner:
+    """The oracle for the closed-form slice maps: pi o phi(cable(slice)) o
+    iota for one coloured slice, built from colour-1 cups, caps and
+    crossings.
+
+    ``colours`` is the cup's colour, or the colours of the two points a cap
+    or crossing joins.  Jones-Wenzl projectors slide through crossings and
+    around cups, so a crossing's output and a cup's output once its left
+    strand is projected lie in the image of the inclusions.  There pi
+    agrees with the exact readout: crossings and caps come out exact, and a
+    cup carries one windowed projection.
+    """
+    if kind == "cup":
+        piece = ColouredDiagram("slice", (), (Slice("cup", 1, colours[0], True),))
+    else:
+        piece = ColouredDiagram(
+            "slice", (BoundaryPoint(colours[0], True),
+                      BoundaryPoint(colours[1], False)), (Slice(kind, 1),))
+    src = tuple(p.colour for p in piece.bottom)
+    tgt = tuple(p.colour for p in validate(piece))
+    # every slice map preserves weight, so a source vector of a weight the
+    # target lacks (any but 0 under a cap) maps to zero
+    weights = {weight(tgt, j) for j in basis_indices(tgt)}
+    columns = {idx: v for idx, v in _basis_states(src).items()
+               if weight(src, idx) in weights}
+    # inclusions right to left and projections left to right, so that the
+    # factors not yet expanded or already collapsed keep one slot each
+    for j in reversed(range(len(src))):
+        if src[j] > 1:
+            columns = _apply_all(_local(inclusion(src[j])), j + 1, columns)
+    for s in cable(piece).slices:
+        columns = _apply_all(_local(_slice_mid(s.kind)), s.pos, columns)
+    for j, m in enumerate(tgt):
+        if m > 1:
+            pi = projection(m, prec) if kind == "cup" and j == 0 \
+                else readout(m)
+            columns = _apply_all(_local(pi), j + 1, columns)
+    return _finish(src, tgt, columns)
+
+
+def local_entries(local) -> tuple:
+    """A local map as (width, target, source index -> target index ->
+    (coefficients by degree, lowest degree, window)), order-free."""
+    return local.width, local.target, {
+        idx: {jdx: (dict(c), lo, v) for jdx, c, lo, v in img}
+        for idx, img in local.columns.items() if img}
+
+
+class TestClosedFormSliceMaps:
+    """The closed-form slice maps equal the cabled oracle entry for entry,
+    values and windows alike."""
+
+    def test_binomial_rows(self):
+        for n in range(15):
+            assert _binomials(n) == tuple(quantum_binomial(n, k)
+                                          for k in range(n + 1))
+
+    @pytest.mark.parametrize("prec", [8, 24])
+    @pytest.mark.parametrize("kind", ["pos", "neg"])
+    def test_crossings(self, kind, prec):
+        for a in range(1, 6):
+            for b in range(1, 6):
+                want = local_entries(_local(cabled_map(kind, (a, b), prec)))
+                got = local_entries(_coloured_local(kind, (a, b), prec))
+                assert got == want, (kind, a, b, prec)
+
+    @pytest.mark.parametrize("prec", [8, 24])
+    def test_cups_and_caps(self, prec):
+        windowed = 0
+        for m in range(1, 6):
+            for kind, colours in (("cup", (m,)), ("cap", (m, m))):
+                want = local_entries(_local(cabled_map(kind, colours, prec)))
+                got = local_entries(_coloured_local(kind, colours, prec))
+                assert got == want, (kind, m, prec)
+                windowed += sum(v is not None for img in got[2].values()
+                                for _, _, v in img.values())
+        # every entry of the cups of colours 2-5
+        assert windowed == 3 + 4 + 5 + 6
+
+
 def seeded_state(rng: random.Random, colours) -> ModuleElement:
     """Entries on about half the basis with interior zeros, windowed on
     two in three."""
@@ -190,7 +370,7 @@ LOCAL_MAPS = {
     "projection3": lambda: projection(3, 6),
     "inclusion2": lambda: inclusion(2),
     "inclusion3": lambda: inclusion(3),
-    "coloured-pos": lambda: _coloured_map("pos", (2, 1), 8),
+    "coloured-pos": lambda: cabled_map("pos", (2, 1), 8),
 }
 
 

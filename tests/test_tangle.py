@@ -1,5 +1,7 @@
 """Diagram DSL parsing, validation, cabling, writhe, and move plumbing."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -112,9 +114,18 @@ class TestWrithe:
         d = cable(parse("bottom +1 -1\npos 1\npos 1\n"))
         assert writhe_gamma(d) == 0
 
-    def test_rejects_coloured_diagram(self):
-        with pytest.raises(ValueError):
-            writhe_gamma(parse("bottom +2 -2\ncap 1\n"))
+    def test_coloured_diagram_counts_like_its_cabling(self):
+        counted = 0
+        for seed in range(24):
+            rng = random.Random(seed)
+            bottom = [BoundaryPoint(rng.randint(1, 3), rng.random() < 0.5)
+                      for _ in range(rng.randint(0, 3))]
+            d = random_diagram(bottom, 6, 3, seed, max_width=5)
+            for flip in (False, True):
+                gamma = writhe_gamma(d, flip_sign=flip)
+                assert gamma == writhe_gamma(cable(d), flip_sign=flip), seed
+                counted += gamma != 0
+        assert counted > 10
 
 
 class TestMoves:
