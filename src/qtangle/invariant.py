@@ -18,10 +18,11 @@ phi_coloured refuses, before any work, a diagram whose largest slice state
 has more than MAX_STATE basis vectors or whose closed-form maps would pass
 MAX_MAP_SIZE.
 
-Every column under evaluation is a _State: per basis index, the entry's
-coefficients by degree and its validity window.  _apply_local maps one
-state to the next through the one convolution kernel of qseries and builds
-no series; the columns become series once, when the finished map is made.
+Every column under evaluation is a _State: per basis index, keyed by a
+mixed-radix int, the entry's integer coefficients packed into one int
+(packing), and the windows of the windowed entries.  _apply_local maps one
+state to the next with one big-int multiply per product and builds no
+series; the columns become series once, when the finished map is made.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
-from .qseries import (DEFAULT_PRECISION, LaurentSeries, convolve_into,
-                      product_window)
+from .packing import WORD, cut, low_digit, pack, unpack, width
+from .qseries import DEFAULT_PRECISION, LaurentSeries
 from .uqsl2 import ModuleElement, basis_indices
 from .intertwiner import (Intertwiner, cap, crossing_neg, crossing_pos, cup,
                           inclusion, inclusion_list, projection,
@@ -77,97 +78,230 @@ def _slice_mid(kind: str) -> Intertwiner:
 
 
 class _State(NamedTuple):
-    """A vector under evaluation, kept out of series form between slices.
+    """A vector under evaluation, kept packed between slices.
 
-    ``coords`` maps each basis index of a nonzero entry to the entry's
-    nonzero coefficients by degree, none above its window, and the window.
+    A basis index is keyed by its mixed-radix int, the leftmost strand most
+    significant with radix m + 1, so keys sort as the index tuples do.
+    ``coords`` maps the key of each nonzero entry to the entry packed with
+    digits of ``bits`` bits, digit j the coefficient of q^(base + j);
+    ``valid`` holds the windows of the windowed entries, none of which has
+    a digit above its window.  No coefficient exceeds ``bound`` in absolute
+    value, and ``bound`` is below 2^(bits-1).
     """
 
     colours: tuple[int, ...]
     coords: dict
+    valid: dict
+    base: int
+    bits: int
+    bound: int
 
 
 class _Local(NamedTuple):
-    """A local map as _apply_local takes it: the width of its source, its
-    target colours, and per source index the terms (target index,
-    (degree, coefficient) pairs, lowest degree, window) of its column."""
+    """A local map as _apply_local takes it.
 
-    width: int
+    ``source`` and ``target`` are the colours of the strands it takes and
+    leaves, ``rs`` and ``rt`` their numbers of basis vectors.  ``columns``
+    maps each source slot, keyed like a state, to the terms (target slot,
+    coefficients from the lowest degree up, lowest degree, window) of its
+    image.  ``m0`` is the lowest degree of any term, and ``norm`` the
+    largest row L1 norm: the sum of |coefficient| over all terms into one
+    target slot, so no image coefficient exceeds ``norm`` times the largest
+    input coefficient, nor does any partial sum of it.  ``packed`` caches
+    the columns as _apply_local reads them.
+    """
+
+    source: tuple[int, ...]
     target: tuple[int, ...]
+    rs: int
+    rt: int
     columns: dict
+    m0: int
+    norm: int
+    windowed: bool
+    packed: dict
+
+    def terms(self, bits: int, right: int) -> dict:
+        """Per source slot, the terms (target slot times ``right``, packed
+        coefficients times q^-m0) of its image, for digits of ``bits`` bits
+        and a slot with ``right`` basis vectors to its right."""
+        got = self.packed.get((bits, right))
+        if got is None:
+            got = self.packed[bits, right] = {
+                s: tuple((t * right, pack(cs, bits) << bits * (lo - self.m0))
+                         for t, cs, lo, _ in img)
+                for s, img in self.columns.items()}
+        return got
 
 
-def _term(jdx: tuple[int, ...], c: LaurentSeries) -> tuple:
-    """One term of a _Local column: c as the image's entry at jdx."""
-    return jdx, tuple(c.support().items()), c.min_deg, c.valid_to
+def _radix(colours: tuple[int, ...]) -> int:
+    """The number of basis vectors of the tensor product of these V_m."""
+    r = 1
+    for m in colours:
+        r *= m + 1
+    return r
+
+
+@lru_cache(maxsize=None)
+def _right(colours: tuple[int, ...], j: int) -> int:
+    """The number of basis vectors of the strands from position j + 1 on."""
+    return _radix(colours[j:])
+
+
+def _key(idx: tuple[int, ...], colours: tuple[int, ...]) -> int:
+    k = 0
+    for a, m in zip(idx, colours):
+        k = k * (m + 1) + a
+    return k
+
+
+def _index(key: int, colours: tuple[int, ...]) -> tuple[int, ...]:
+    idx = []
+    for m in reversed(colours):
+        key, a = divmod(key, m + 1)
+        idx.append(a)
+    return tuple(reversed(idx))
+
+
+def _make_local(source: tuple[int, ...], target: tuple[int, ...],
+                columns) -> _Local:
+    """The _Local of the map sending source index idx to the sum of c v_jdx
+    over the (jdx, c) of columns[idx], for nonzero integral series c."""
+    cols, rows = {}, {}
+    for idx, img in columns:
+        terms = []
+        for jdx, c in img:
+            t = _key(jdx, target)
+            terms.append((t, c.coeffs, c.min_deg, c.valid_to))
+            rows[t] = rows.get(t, 0) + sum(map(abs, c.coeffs))
+        cols[_key(idx, source)] = tuple(terms)
+    terms = [term for img in cols.values() for term in img]
+    return _Local(source, target, _radix(source), _radix(target), cols,
+                  min((lo for _, _, lo, _ in terms), default=0),
+                  max(rows.values(), default=0),
+                  any(v is not None for _, _, _, v in terms), {})
 
 
 @lru_cache(maxsize=None)
 def _local(mid: Intertwiner) -> _Local:
-    return _Local(len(mid.source), mid.target, {
-        idx: tuple(_term(jdx, c) for jdx, c in img.coords)
-        for idx, img in mid.columns})
+    return _make_local(mid.source, mid.target,
+                       ((idx, img.coords) for idx, img in mid.columns))
 
 
 def _state(x: ModuleElement) -> _State:
-    return _State(x.colours, {idx: (c.support(), c.valid_to)
-                              for idx, c in x.coords})
+    base = min((c.min_deg for _, c in x.coords), default=0)
+    bound = max((abs(a) for _, c in x.coords for a in c.coeffs), default=0)
+    bits = width(bound)
+    coords, valid = {}, {}
+    for idx, c in x.coords:
+        key = _key(idx, x.colours)
+        coords[key] = pack(c.coeffs, bits) << bits * (c.min_deg - base)
+        if c.valid_to is not None:
+            valid[key] = c.valid_to
+    return _State(x.colours, coords, valid, base, bits, bound)
 
 
 def _element(x: _State) -> ModuleElement:
-    # every entry of a state is nonzero, and its keys come from a valid
-    # state and valid local maps, so ModuleElement.make has nothing to check
-    return ModuleElement(x.colours, tuple(
-        (idx, LaurentSeries.from_dict(d, v))
-        for idx, (d, v) in sorted(x.coords.items(), key=lambda t: t[0])))
+    # every entry of a state is nonzero and cut to its window, and its keys
+    # come from a valid state and valid local maps, so ModuleElement.make
+    # has nothing to check
+    bits, base, valid, colours = x.bits, x.base, x.valid, x.colours
+    coords = []
+    for key, p in sorted(x.coords.items()):
+        j = low_digit(p, bits)
+        coords.append((_index(key, colours), LaurentSeries(
+            base + j, tuple(unpack(p >> bits * j, bits)), valid.get(key))))
+    return ModuleElement(colours, tuple(coords))
+
+
+def _repack(x: _State, norm: int) -> _State:
+    """x with its bound taken from its largest coefficient, and repacked
+    wider if images under a map of this norm need it."""
+    digits = {key: unpack(p, x.bits) for key, p in x.coords.items()}
+    bound = max((abs(c) for cs in digits.values() for c in cs), default=0)
+    bits = max(x.bits, width(bound * norm))
+    if bits == x.bits:
+        return x._replace(bound=bound)
+    return x._replace(coords={key: pack(cs, bits)
+                              for key, cs in digits.items()},
+                      bits=bits, bound=bound)
 
 
 def _apply_local(mid: _Local, i: int, x: _State) -> _State:
     """Apply Id^(i-1) (x) mid (x) Id to x, acting only on its support.
 
     Equivalent to positioned(mid, i, n).apply(x) but never materializes the
-    full-width matrix, which keeps wide cabled diagrams tractable.  A
-    product's window uses the entry's lowest nonzero degree; an output entry
-    takes the smallest window of its products, is cut there, and is dropped
-    when nothing nonzero is left.
+    full-width matrix, which keeps wide cabled diagrams tractable.  Each
+    product is one multiply of packed ints, so the image is based at
+    x.base + mid.m0; its coefficients are within x.bound * mid.norm, and
+    the state is repacked first if that needs wider digits.  A product's
+    window uses the entry's lowest nonzero degree; an output entry takes
+    the smallest window of its products, is cut there, and is dropped when
+    nothing nonzero is left.  Exact entries do no window work.
     """
-    k = mid.width
-    tgt = x.colours[:i - 1] + mid.target + x.colours[i - 1 + k:]
-    cols = mid.columns
-    # per target index: coefficients by degree, into which every product is
-    # convolved, and the validity window unless it is exact
-    acc: dict[tuple[int, ...], dict] = {}
-    valid: dict[tuple[int, ...], int] = {}
-    for idx, (c, vc) in x.coords.items():
-        img = cols.get(idx[i - 1:i - 1 + k])
+    colours = x.colours
+    k = len(mid.source)
+    tgt = colours[:i - 1] + mid.target + colours[i - 1 + k:]
+    if (x.bound * mid.norm) >> (x.bits - 1):
+        x = _repack(x, mid.norm)
+    bits = x.bits
+    right = _right(colours, i - 1 + k)
+    srad, trad = mid.rs * right, mid.rt * right
+    cols = mid.terms(bits, right)
+    base = x.base + mid.m0
+    acc: dict[int, int] = {}
+    get = acc.get
+    if not (x.valid or mid.windowed):
+        for key, p in x.coords.items():
+            hi, rest = divmod(key, srad)
+            s, low = divmod(rest, right)
+            img = cols.get(s)
+            if img is None:
+                continue
+            off = hi * trad + low
+            for t, tp in img:
+                t += off
+                acc[t] = get(t, 0) + p * tp
+        if 0 in acc.values():
+            acc = {key: p for key, p in acc.items() if p}
+        return _State(tgt, acc, {}, base, bits, x.bound * mid.norm)
+    valid = x.valid
+    windows: dict[int, int] = {}
+    for key, p in x.coords.items():
+        hi, rest = divmod(key, srad)
+        s, low = divmod(rest, right)
+        img = cols.get(s)
         if img is None:
             continue
-        lo = min(c)
-        pre, post = idx[:i - 1], idx[i - 1 + k:]
-        for jdx, c2, lo2, v2 in img:
-            key = pre + jdx + post
-            d = acc.get(key)
-            if d is None:
-                d = acc[key] = {}
-            v = product_window(lo, vc, lo2, v2)
-            if v is not None:
-                w = valid.get(key)
-                if w is None or v < w:
-                    valid[key] = v
-            convolve_into(d, c2, c, v)
-    coords = {}
-    for key, d in acc.items():
-        v = valid.get(key)
-        # scanning in C first spares most entries the rebuild
-        if 0 in d.values() or (v is not None and max(d) > v):
-            d = {e: c for e, c in d.items() if c and (v is None or e <= v)}
-        if d:
-            coords[key] = (d, v)
-    return _State(tgt, coords)
+        off = hi * trad + low
+        vp = valid.get(key)
+        lo = x.base + low_digit(p, bits)
+        for (t, tp), (_, _, lo2, v2) in zip(img, mid.columns[s]):
+            t += off
+            acc[t] = get(t, 0) + p * tp
+            # the window of the product: each factor's window shifted by
+            # the other's lowest degree
+            if vp is None:
+                if v2 is None:
+                    continue
+                v = v2 + lo
+            elif v2 is None:
+                v = vp + lo2
+            else:
+                v = min(vp + lo2, v2 + lo)
+            w = windows.get(t)
+            if w is None or v < w:
+                windows[t] = v
+    for key, v in windows.items():
+        acc[key] = cut(acc[key], v - base + 1, bits)
+    coords = {key: p for key, p in acc.items() if p}
+    return _State(tgt, coords,
+                  {key: v for key, v in windows.items() if key in coords},
+                  base, bits, x.bound * mid.norm)
 
 
 def _basis_states(colours: tuple[int, ...]) -> dict:
-    return {idx: _State(colours, {idx: ({0: 1}, None)})
+    return {idx: _State(colours, {_key(idx, colours): 1}, {}, 0, WORD, 1)
             for idx in basis_indices(colours)}
 
 
@@ -258,17 +392,17 @@ def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
             c = _binomials(m)[j]
             if m > 1:
                 c = c.invert(prec)
-            terms.append(_term((m - j, j),
-                               c.shift(j * (j - m + 1)).scale((-1) ** j)))
-        return _Local(0, (m, m), {(): tuple(terms)})
+            terms.append(((m - j, j),
+                          c.shift(j * (j - m + 1)).scale((-1) ** j)))
+        return _make_local((), (m, m), [((), terms)])
     a, b = colours
     if kind == "cap":
-        return _Local(2, (), {
-            (k, a - k): (_term((), _binomials(a)[k].shift(-k * (k - a + 1))
-                               .scale((-1) ** k)),)
-            for k in range(a + 1)})
+        return _make_local((a, b), (), [
+            ((k, a - k), [((), _binomials(a)[k].shift(-k * (k - a + 1))
+                           .scale((-1) ** k))])
+            for k in range(a + 1)])
     sign = (-1) ** (a * b)
-    columns = {}
+    columns = []
     for i in range(a + 1):
         for j in range(b + 1):
             terms = []
@@ -277,15 +411,15 @@ def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
                     c = _theta(n) * _binomials(i + n)[n] * \
                         _binomials(b - j + n)[n]
                     e = (-3 * a * b - (2 * (i + n) - a) * (2 * (j - n) - b)) // 2
-                    terms.append(_term((j - n, i + n), c.shift(e).scale(sign)))
+                    terms.append(((j - n, i + n), c.shift(e).scale(sign)))
             else:
                 e = (3 * a * b + (2 * i - a) * (2 * j - b)) // 2
                 for n in range(min(b - j, i) + 1):
                     c = _theta(n).bar() * _binomials(j + n)[n] * \
                         _binomials(a - i + n)[n]
-                    terms.append(_term((j + n, i - n), c.shift(e).scale(sign)))
-            columns[i, j] = tuple(terms)
-    return _Local(2, (b, a), columns)
+                    terms.append(((j + n, i - n), c.shift(e).scale(sign)))
+            columns.append(((i, j), terms))
+    return _make_local((a, b), (b, a), columns)
 
 
 class DiagramTooLarge(ValueError):

@@ -1,0 +1,90 @@
+"""Kronecker packing: a Laurent polynomial's integer coefficients as one int.
+
+The coefficients c_0, c_1, ... of q^base, q^(base+1), ... are packed as
+P = sum_j c_j 2^(bits j).  The digits are balanced: every |c_j| is below
+2^(bits-1), the top bit of a digit being headroom for its sign, so P
+determines every c_j.  The product of two packed polynomials is then the
+packed product, one big-int multiply done in C, as long as every
+coefficient of the product stays below the same limit (Kronecker
+substitution; D. Harvey, "Faster polynomial multiplication via multipoint
+Kronecker substitution", J. Symbolic Comput. 44, 2009).  A sum of packed
+polynomials is likewise the packed sum.
+
+``width`` is the rule that keeps the digits apart: given a bound on every
+coefficient a computation can produce, it returns a digit width with room
+for it.  ``cut`` keeps the digits of a window, ``low_digit`` finds the
+lowest nonzero one, and ``pack`` and ``unpack`` convert to and from lists.
+"""
+
+from __future__ import annotations
+
+import struct
+
+__all__ = ["WORD", "width", "pack", "unpack", "cut", "low_digit"]
+
+# digit widths are multiples of one machine word
+WORD = 64
+
+
+def width(bound: int) -> int:
+    """The narrowest digit width, a multiple of WORD, whose balanced digits
+    hold every coefficient of absolute value at most ``bound``: bound is
+    below 2^(bits-1)."""
+    return WORD * (bound.bit_length() // WORD + 1)
+
+
+def pack(coeffs, bits: int) -> int:
+    """The integers c_0, c_1, ... as one int with digits of ``bits`` bits.
+
+    A coefficient that is not an int, such as a Fraction, raises TypeError.
+    """
+    p = 0
+    for c in reversed(coeffs):
+        if type(c) is not int:
+            raise TypeError(f"only integer coefficients pack, not {c!r}")
+        p = (p << bits) + c
+    return p
+
+
+def unpack(p: int, bits: int) -> list[int]:
+    """The digits of p from digit 0 up to its highest nonzero one.
+
+    Adding the digit bias 2^(bits-1) to every digit makes each one a
+    nonnegative machine word, or run of words, with nothing carried
+    between them, so the digits are read straight off p's bytes.
+    """
+    if not p:
+        return []
+    step = bits // 8
+    n = p.bit_length() // bits + 1
+    bias = int.from_bytes((bytes(step - 1) + b"\x80") * n, "little")
+    raw = (p + bias).to_bytes(step * n, "little")
+    h = 1 << (bits - 1)
+    if bits == WORD:
+        cs = [w - h for w in struct.unpack(f"<{n}Q", raw)]
+    else:
+        cs = [int.from_bytes(raw[i:i + step], "little") - h
+              for i in range(0, len(raw), step)]
+    while not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def cut(p: int, n: int, bits: int) -> int:
+    """p with only its lowest n digits kept (0 when n <= 0).
+
+    The low digits of p sum to a value L with |L| < H = 2^(bits n - 1);
+    the rest of p is a multiple of 2^(bits n), so L + H is p + H modulo
+    2^(bits n).
+    """
+    if n <= 0:
+        return 0
+    w = bits * n
+    h = 1 << (w - 1)
+    return ((p + h) & ((1 << w) - 1)) - h
+
+
+def low_digit(p: int, bits: int) -> int:
+    """The index of the lowest nonzero digit of p, which must be nonzero:
+    the digits below it are zero, so p's trailing zero bits end in it."""
+    return ((p & -p).bit_length() - 1) // bits

@@ -10,11 +10,11 @@ A coefficient is a Python ``int`` when it is integral and a ``Fraction``
 otherwise; every true division goes through ``Fraction``, so no float ever
 appears.  The invariants are integral, so the hot path runs on ints.
 
-Every product goes through one convolution kernel, ``convolve_into``, which
-works on the degree -> coefficient form of a series (``support()``) and is
-windowed by ``product_window``.  ``__mul__`` calls it on two series; the
-local maps of ``invariant`` call it on evaluation states that stay in that
-form from slice to slice and become series only at the end.
+A product of two series goes through one convolution kernel,
+``convolve_into``, which works on the degree -> coefficient form of a
+series (``support()``) and is windowed by ``product_window``.  The local
+maps of ``invariant`` do not build series: their evaluation states pack each
+entry's integer coefficients into one int (``packing``) and multiply those.
 """
 
 from __future__ import annotations
@@ -266,8 +266,7 @@ def convolve_into(out: dict, a: Iterable, b: Mapping, v: int | None) -> None:
 
     a is a sequence of (degree, coefficient) pairs, read once; b and out
     map degree to coefficient.  A zero coefficient of a is skipped; b holds
-    only nonzero ones.  In the local maps a is a map term, usually a
-    monomial, and b a state entry, so the short loop is the outer one.
+    only nonzero ones.
     """
     get = out.get
     if v is None:

@@ -7,7 +7,8 @@ import pytest
 
 from qtangle import cli
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
-                         EXIT_VERIFY, PRECISION_ENV, build_parser, main)
+                         EXIT_VERIFY, MAX_PRECISION, MIN_PRECISION,
+                         PRECISION_ENV, build_parser, main)
 
 UNKNOT = "bottom\ncup 1 1 u\ncap 1\n"
 
@@ -136,6 +137,38 @@ class TestUsageAndPrecision:
         code, _, err = run(capsys, ["eval", unknot_file, "--precision", "4"])
         assert code == EXIT_VALIDATE
         assert "precision" in err
+
+    def test_precision_above_maximum_exit_3_at_once(self, capsys, tmp_path):
+        # the colour-2 unknot at precision 10^7 would not finish
+        f = tmp_path / "unknot2.tangle"
+        f.write_text("bottom\ncup 1 2 u\ncap 1\n")
+        t = time.perf_counter()
+        code, out, err = run(capsys, ["eval", str(f), "--precision",
+                                      str(10 ** 7)])
+        assert time.perf_counter() - t < 1
+        assert code == EXIT_VALIDATE and out == ""
+        assert err.count("\n") == 1 and str(MAX_PRECISION) in err
+
+    def test_env_precision_above_maximum_exit_3_at_once(self, capsys, tmp_path,
+                                                       monkeypatch):
+        f = tmp_path / "unknot2.tangle"
+        f.write_text("bottom\ncup 1 2 u\ncap 1\n")
+        monkeypatch.setenv(PRECISION_ENV, str(10 ** 7))
+        for argv in (["eval", str(f)], ["verify", "jones-wenzl", "--n", "3"]):
+            t = time.perf_counter()
+            code, out, err = run(capsys, argv)
+            assert time.perf_counter() - t < 1
+            assert code == EXIT_VALIDATE and out == "", argv
+            assert err.count("\n") == 1 and str(MAX_PRECISION) in err
+
+    def test_precision_bounds_are_inclusive(self, capsys, unknot_file):
+        for p in (MIN_PRECISION, MAX_PRECISION):
+            code, out, _ = run(capsys, ["eval", unknot_file, "--json",
+                                        "--precision", str(p)])
+            assert code == EXIT_OK and json.loads(out)["precision"] == p
+        code, _, _ = run(capsys, ["eval", unknot_file, "--precision",
+                                  str(MAX_PRECISION + 1)])
+        assert code == EXIT_VALIDATE
 
     def test_env_override(self, capsys, unknot_file, monkeypatch):
         monkeypatch.setenv(PRECISION_ENV, "16")

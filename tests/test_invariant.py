@@ -1,5 +1,6 @@
 """Diagram evaluation, framing normalization, and the invariance harness."""
 
+import dataclasses
 import random
 import time
 from functools import lru_cache
@@ -10,8 +11,8 @@ from qtangle.intertwiner import Intertwiner, inclusion, positioned, projection
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, Mode,
                                _apply_all, _apply_local, _basis_states,
                                _binomials, _coloured_local,
-                               _element, _finish, _local, _slice_mid, _state,
-                               _theta, link_invariant,
+                               _element, _finish, _index, _local, _slice_mid,
+                               _state, _theta, link_invariant,
                                normalized_invariant, phi, phi_coloured,
                                verify_invariance)
 from qtangle.qseries import LaurentSeries, quantum_binomial, quantum_integer
@@ -131,6 +132,37 @@ class TestHighColours:
         val = link_invariant(parse(braid_closure([1, 1, 1], [7, 7])), 48)
         assert time.monotonic() - t0 < 5
         assert not val.is_zero()
+
+
+def mirror(d: ColouredDiagram) -> ColouredDiagram:
+    """d with every crossing switched."""
+    flip = {"pos": "neg", "neg": "pos"}
+    return dataclasses.replace(d, slices=tuple(
+        dataclasses.replace(s, kind=flip.get(s.kind, s.kind))
+        for s in d.slices))
+
+
+class TestMirrorSymmetry:
+    def test_seeded_links(self):
+        # V(mirror D)(q) = V(D)(q^-1), with no oracle: the reflection of V(D)
+        # is known from degree -v on, where v is V(D)'s window, and V(mirror
+        # D) up to its own window w; the two must agree on [-v, w]
+        compared = 0
+        for seed in range(30):
+            d = random_link(12 + seed % 7, 1 + seed % 3, seed, max_width=6)
+            v = link_invariant(d, PREC)
+            w = link_invariant(mirror(d), PREC)
+            assert not v.is_zero() and not w.is_zero(), d.name
+            lo = None if v.valid_to is None else -v.valid_to
+            hi = w.valid_to
+            assert lo is None or hi is None or lo <= hi, d.name
+            reflected = {-e: c for e, c in v.support().items()}
+            got = w.support()
+            for e in set(reflected) | set(got):
+                if (lo is None or e >= lo) and (hi is None or e <= hi):
+                    assert reflected.get(e, 0) == got.get(e, 0), (d.name, e)
+                    compared += 1
+        assert compared > 150
 
 
 class TestSizeGuard:
@@ -304,9 +336,12 @@ def cabled_map(kind: str, colours: tuple[int, ...], prec: int) -> Intertwiner:
 def local_entries(local) -> tuple:
     """A local map as (width, target, source index -> target index ->
     (coefficients by degree, lowest degree, window)), order-free."""
-    return local.width, local.target, {
-        idx: {jdx: (dict(c), lo, v) for jdx, c, lo, v in img}
-        for idx, img in local.columns.items() if img}
+    return len(local.source), local.target, {
+        _index(s, local.source): {
+            _index(t, local.target): (
+                {lo + j: c for j, c in enumerate(cs) if c}, lo, v)
+            for t, cs, lo, v in img}
+        for s, img in local.columns.items() if img}
 
 
 class TestClosedFormSliceMaps:
@@ -341,15 +376,16 @@ class TestClosedFormSliceMaps:
         assert windowed == 3 + 4 + 5 + 6
 
 
-def seeded_state(rng: random.Random, colours) -> ModuleElement:
+def seeded_state(rng: random.Random, colours, scale: int = 1) -> ModuleElement:
     """Entries on about half the basis with interior zeros, windowed on
-    two in three."""
+    two in three; every coefficient is one of 0, 1, -1, 2, -3 times scale."""
     coords = {}
     for idx in basis_indices(colours):
         if rng.random() < 0.5:
             continue
         lo = rng.randint(-4, 4)
-        cs = [rng.choice((0, 1, -1, 2, -3)) for _ in range(rng.randint(1, 5))]
+        cs = [scale * rng.choice((0, 1, -1, 2, -3))
+              for _ in range(rng.randint(1, 5))]
         v = None if rng.random() < 1 / 3 else rng.randint(lo, lo + 6)
         coords[idx] = LaurentSeries.make(lo, cs, v)
     return ModuleElement.make(colours, coords)
@@ -378,21 +414,41 @@ class TestApplyLocal:
     """_apply_local against the full-width positioned(mid, i, n).apply(x),
     which shares no code with it: values and windows must agree."""
 
-    @pytest.mark.parametrize("name", list(LOCAL_MAPS))
-    def test_matches_full_width_apply(self, name):
+    @staticmethod
+    def check_full_width(name: str, scale: int) -> tuple[int, int]:
+        """Compare on 12 seeded states at every position; the number of
+        windowed image entries, and of images packed wider than their
+        input."""
         mid = LOCAL_MAPS[name]()
         n = 4
-        windowed = 0
+        windowed = wider = 0
         for i in range(1, n - len(mid.source) + 2):
             colours = (1,) * (i - 1) + mid.source + \
                 (1,) * (n - (i - 1) - len(mid.source))
             full = positioned(mid, i, n)
             for seed in range(12):
-                x = seeded_state(random.Random(seed), colours)
-                got = local_apply(mid, i, x)
+                x = seeded_state(random.Random(seed), colours, scale)
+                packed = _apply_local(_local(mid), i, _state(x))
+                got = _element(packed)
                 assert got == full.apply(x), (name, i, seed)
                 windowed += sum(c.valid_to is not None for _, c in got.coords)
+                wider += packed.bits > _state(x).bits
+        return windowed, wider
+
+    @pytest.mark.parametrize("name", list(LOCAL_MAPS))
+    def test_matches_full_width_apply(self, name):
+        windowed, _ = self.check_full_width(name, 1)
         assert windowed > 20
+
+    # coefficients of 2^61 and 2^125 times a few, which pack into 64- and
+    # 128-bit digits; under a map of row norm 2 or more their images need
+    # wider digits, above 2^63 and above 2^127
+    @pytest.mark.parametrize("scale", [2 ** 61 + 1, 2 ** 125 + 1])
+    @pytest.mark.parametrize("name", list(LOCAL_MAPS))
+    def test_wide_coefficients_are_repacked(self, name, scale):
+        windowed, wider = self.check_full_width(name, scale)
+        assert windowed > 20
+        assert (wider > 0) == (_local(LOCAL_MAPS[name]()).norm > 1)
 
     def test_entry_that_cancels_is_dropped(self):
         # cap(q^-1 v0 v1 + v1 v0) = q^-1 - q^-1
