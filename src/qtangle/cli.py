@@ -19,7 +19,7 @@ from .qseries import DEFAULT_PRECISION, bigraded_expand_homofunknot
 from .tangle import MoveKind, ParseError, ValidationError, parse, validate
 from .intertwiner import (charJW_check, jones_wenzl, jones_wenzl_divided,
                           slide_identity_checks)
-from .invariant import DiagramTooLarge, Mode, link_invariant, \
+from .invariant import DiagramTooLarge, link_invariant, \
     normalized_invariant, verify_invariance
 from .grasscoh import build_cohomology, wolffhardt_complex
 from .quiverkat import (euler_characteristic_vs_p2, ext_self_L1, gl2_algebra,
@@ -36,9 +36,9 @@ EXIT_USAGE = 64
 
 PRECISION_ENV = "QTANGLE_PRECISION"
 MIN_PRECISION = 8
-# a bound on the work one request can ask for: in global mode the colour-3
-# trefoil takes about 2 s at this precision, 9 s at 4096 and over a minute
-# at 16384
+# a bound on the work one request can ask for: at this precision, in a
+# fresh process on a 2-vCPU VM, eval of the colour-3 trefoil takes about
+# 0.2-0.3 s and verify jones-wenzl --n 4 takes 3.6-5 s
 MAX_PRECISION = 1024
 
 _MOVES = {m.value: m for m in MoveKind}
@@ -141,7 +141,7 @@ def _cmd_eval(args) -> int:
         print(f"eval: validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATE
     try:
-        res = normalized_invariant(d, args.precision, Mode(args.mode))
+        res = normalized_invariant(d, args.precision)
     except DiagramTooLarge as e:
         return _invalid("eval", str(e))
     is_link = not d.bottom and not top
@@ -149,7 +149,6 @@ def _cmd_eval(args) -> int:
         "command": "eval",
         "file": args.file,
         "precision": args.precision,
-        "mode": args.mode,
         "gamma": res.gamma,
         "bottom": [p.token() for p in d.bottom],
         "top": [p.token() for p in top],
@@ -436,9 +435,6 @@ def _add_json(p: argparse.ArgumentParser) -> None:
 
 def _eval_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
-    p.add_argument("--mode", choices=("sliced", "global"), default="sliced",
-                   help="sliced: native coloured evaluation (default); "
-                        "global: the full cabling, as a reference")
     _add_precision(p)
     _add_json(p)
     p.set_defaults(fn=_cmd_eval)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qseries import DEFAULT_PRECISION, LaurentSeries, quantum_binomial
-from .uqsl2 import (ModuleElement, act, basis_indices, basis_indices_of_weight,
-                    divided_power_act, seq_stats, weight, weight_projector)
+from .uqsl2 import (ModuleElement, act, basis_indices, divided_power_act,
+                    seq_stats, weight, weight_projector)
 
 __all__ = [
     "Intertwiner",
@@ -141,10 +141,9 @@ class Intertwiner:
         """Dense matrix per weight: rows = target basis, cols = source basis."""
         out = {}
         cols = dict(self.columns)
-        weights = sorted({weight(self.source, i) for i in basis_indices(self.source)})
-        for mu in weights:
-            sb = basis_indices_of_weight(self.source, mu)
-            tb = basis_indices_of_weight(self.target, mu)
+        sources, targets = _by_weight(self.source), _by_weight(self.target)
+        for mu in sorted(sources):
+            sb, tb = sources[mu], targets.get(mu, [])
             rows = {t: r for r, t in enumerate(tb)}
             mat = [[LaurentSeries.zero() for _ in sb] for _ in tb]
             for c, sidx in enumerate(sb):
@@ -165,6 +164,14 @@ class Intertwiner:
             "blocks": {str(mu): [[e.to_json() for e in row] for row in mat]
                        for mu, mat in self.blocks().items()},
         }
+
+
+def _by_weight(colours: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
+    """The basis indices of each weight, in lexicographic order."""
+    out: dict[int, list[tuple[int, ...]]] = {}
+    for idx in basis_indices(colours):
+        out.setdefault(weight(colours, idx), []).append(idx)
+    return out
 
 
 # -- cups, caps, crossings ---------------------------------------------------

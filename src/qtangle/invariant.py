@@ -1,22 +1,21 @@
 """Evaluation of tangle diagrams to intertwiners and the invariance harness.
 
-phi evaluates a cabled (all colour-1) diagram slice by slice.  phi_coloured
-evaluates a coloured diagram in one of two ways.  The default, Mode.SLICED,
-keeps the state in the tensor product of the coloured modules V_m and applies
-one local map per slice, on just the strands the slice touches.  Each map is
+phi_coloured evaluates a coloured diagram slice by slice.  It keeps the
+state in the tensor product of the coloured modules V_m and applies one
+local map per slice, on just the strands the slice touches.  Each map is
 written in closed form by _coloured_local and cached per (kind, colours,
 precision): a crossing of V_a and V_b from the quasi-R-matrix
 Theta = sum_n theta_n E^(n) (x) F^(n) and the weight factor (Kirby-Melvin,
 Invent. Math. 105, 1991; Lusztig, Introduction to Quantum Groups, 1993), a
 cap and a cup from quantum binomials.  Crossings and caps are exact; a cup
-of colour m >= 2 carries inverted binomials with a validity window.
-Mode.GLOBAL, the independent reference, evaluates the full cabling between
-one inclusion/projection sandwich, with a projector at every coloured cup.
-The framing normalization multiplies by q^{3 gamma}, where gamma, from
-tangle.writhe_gamma, is the oriented crossing count of the cabling.
-phi_coloured refuses, before any work, a diagram whose largest slice state
-has more than MAX_STATE basis vectors or whose closed-form maps would pass
-MAX_MAP_SIZE.
+of colour m >= 2 carries inverted binomials with a validity window.  The
+maps equal the cabled slices between Jones-Wenzl inclusions and
+projections, but nothing here cables.  The framing normalization multiplies
+by q^{3 gamma}, where gamma, from tangle.writhe_gamma, is the oriented
+crossing count of the cabling.
+phi_coloured refuses, before any work, a diagram whose slice states, one
+per source basis vector, would hold more than MAX_STATE entries or whose
+closed-form maps would pass MAX_MAP_SIZE.
 
 Every column under evaluation is a _State: per basis index, keyed by a
 mixed-radix int, the entry's integer coefficients packed into one int
@@ -29,30 +28,26 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
 
 from .packing import WORD, cut, low_digit, pack, unpack, width
 from .qseries import DEFAULT_PRECISION, LaurentSeries
 from .uqsl2 import ModuleElement, basis_indices
-from .intertwiner import (Intertwiner, cap, crossing_neg, crossing_pos, cup,
-                          inclusion, inclusion_list, projection,
-                          projection_list)
+from .intertwiner import Intertwiner
 from .tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
-                     apply_move, boundary_states, cable, enumerate_move_sites,
+                     apply_move, boundary_states, enumerate_move_sites,
                      random_diagram, validate, writhe_gamma)
+# not used here: the benchmark's tracer hooks these names in this module
+from .intertwiner import (inclusion, inclusion_list,  # noqa: F401
+                          projection, projection_list)
+from .tangle import cable  # noqa: F401
 
 __all__ = [
-    "Mode", "InvariantResult", "DiagramTooLarge",
-    "phi", "phi_coloured", "normalized_invariant", "link_invariant",
+    "InvariantResult", "DiagramTooLarge",
+    "phi_coloured", "normalized_invariant", "link_invariant",
     "verify_invariance",
 ]
-
-
-class Mode(Enum):
-    GLOBAL = "global"
-    SLICED = "sliced"
 
 
 @dataclass(frozen=True)
@@ -63,18 +58,6 @@ class InvariantResult:
 
     def scalar(self) -> LaurentSeries:
         return self.value.scalar()
-
-
-@lru_cache(maxsize=None)
-def _slice_mid(kind: str) -> Intertwiner:
-    """The local two-strand (or zero-strand) map of an uncoloured slice."""
-    if kind == "cup":
-        return cup()
-    if kind == "cap":
-        return cap()
-    if kind == "pos":
-        return crossing_pos(2, 1)
-    return crossing_neg(2, 1)
 
 
 class _State(NamedTuple):
@@ -182,25 +165,6 @@ def _make_local(source: tuple[int, ...], target: tuple[int, ...],
                   any(v is not None for _, _, _, v in terms), {})
 
 
-@lru_cache(maxsize=None)
-def _local(mid: Intertwiner) -> _Local:
-    return _make_local(mid.source, mid.target,
-                       ((idx, img.coords) for idx, img in mid.columns))
-
-
-def _state(x: ModuleElement) -> _State:
-    base = min((c.min_deg for _, c in x.coords), default=0)
-    bound = max((abs(a) for _, c in x.coords for a in c.coeffs), default=0)
-    bits = width(bound)
-    coords, valid = {}, {}
-    for idx, c in x.coords:
-        key = _key(idx, x.colours)
-        coords[key] = pack(c.coeffs, bits) << bits * (c.min_deg - base)
-        if c.valid_to is not None:
-            valid[key] = c.valid_to
-    return _State(x.colours, coords, valid, base, bits, bound)
-
-
 def _element(x: _State) -> ModuleElement:
     # every entry of a state is nonzero and cut to its window, and its keys
     # come from a valid state and valid local maps, so ModuleElement.make
@@ -231,13 +195,13 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
     """Apply Id^(i-1) (x) mid (x) Id to x, acting only on its support.
 
     Equivalent to positioned(mid, i, n).apply(x) but never materializes the
-    full-width matrix, which keeps wide cabled diagrams tractable.  Each
-    product is one multiply of packed ints, so the image is based at
-    x.base + mid.m0; its coefficients are within x.bound * mid.norm, and
-    the state is repacked first if that needs wider digits.  A product's
-    window uses the entry's lowest nonzero degree; an output entry takes
-    the smallest window of its products, is cut there, and is dropped when
-    nothing nonzero is left.  Exact entries do no window work.
+    full-width matrix, which keeps wide diagrams tractable.  Each product is
+    one multiply of packed ints, so the image is based at x.base + mid.m0;
+    its coefficients are within x.bound * mid.norm, and the state is
+    repacked first if that needs wider digits.  A product's window uses the
+    entry's lowest nonzero degree; an output entry takes the smallest window
+    of its products, is cut there, and is dropped when nothing nonzero is
+    left.  Exact entries do no window work.
     """
     colours = x.colours
     k = len(mid.source)
@@ -317,18 +281,6 @@ def _finish(src: tuple[int, ...], tgt: tuple[int, ...],
                                        for idx, v in columns.items()})
 
 
-def phi(d: ColouredDiagram, precision: int = DEFAULT_PRECISION) -> Intertwiner:
-    """Compose the slice intertwiners of an uncoloured diagram, bottom to top."""
-    if not d.is_uncoloured():
-        raise ValueError("phi needs a cabled diagram; use phi_coloured")
-    top = validate(d)
-    src = (1,) * len(d.bottom)
-    columns = _basis_states(src)
-    for s in d.slices:
-        columns = _apply_all(_local(_slice_mid(s.kind)), s.pos, columns)
-    return _finish(src, (1,) * len(top), columns)
-
-
 @lru_cache(maxsize=None)
 def _binomials(n: int) -> tuple[LaurentSeries, ...]:
     """The row [n, 0], ..., [n, n] of quantum binomials.
@@ -378,12 +330,12 @@ def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
       cap  v_k (x) v_(m-k) -> (-1)^k q^(-k(k-m+1)) [m, k]
       cup  1 -> sum_j (-1)^j q^(j(j-m+1)) [m, j]^-1 v_(m-j) (x) v_j
 
-    This is pi o phi(cable(slice)) o iota, the cabled slice between the
-    Jones-Wenzl inclusions and projections, entry for entry, windows
-    included; orientation enters only the writhe.  Crossings and caps are
-    exact.  A cup of colour m >= 2 takes every inverse to ``prec`` terms,
-    the window of the projection on its left strand, so entry j is valid to
-    degree j + prec - 1; a colour-1 cup is exact.
+    This is the cabled slice between the Jones-Wenzl inclusions iota and
+    projections pi, entry for entry, windows included; orientation enters
+    only the writhe.  Crossings and caps are exact.  A cup of colour m >= 2
+    takes every inverse to ``prec`` terms, the window of the projection on
+    its left strand, so entry j is valid to degree j + prec - 1; a colour-1
+    cup is exact.
     """
     if kind == "cup":
         m, = colours
@@ -426,27 +378,18 @@ class DiagramTooLarge(ValueError):
     """A diagram over MAX_STATE or MAX_MAP_SIZE, refused before any work."""
 
 
-# the largest slice state phi_coloured takes on: its number of basis
-# vectors, prod(m_i + 1) over the coloured points of a slice in Mode.SLICED
-# and 2^(cabled width) in Mode.GLOBAL
+# the most entries phi_coloured keeps: one state per basis vector of the
+# source, each with up to as many entries as the largest slice has basis
+# vectors, prod(m_i + 1) over its coloured points
 MAX_STATE = 2 ** 20
 
-# the most closed-form map phi_coloured builds in Mode.SLICED, summed over
-# the distinct slice maps of a diagram: each map's terms times a bound on a
-# term's degree span, (a+1)(b+1)(min(a,b)+1)(ab+1) for a crossing of colours
-# a and b and (m+1)(m^2/4+1) for a cup or cap of colour m.  A map at the
-# limit, a crossing of colour 11 or a cap of colour 100, takes about a
-# second to build.
+# the most closed-form map phi_coloured builds, summed over the distinct
+# slice maps of a diagram: each map's terms times a bound on a term's degree
+# span, (a+1)(b+1)(min(a,b)+1)(ab+1) for a crossing of colours a and b and
+# (m+1)(m^2/4+1) for a cup or cap of colour m.  A map at the limit, a
+# crossing of colour 11 or a cap of colour 100, takes about a second to
+# build.
 MAX_MAP_SIZE = 2 ** 18
-
-
-def _state_size(state: list[BoundaryPoint], mode: Mode) -> int:
-    if mode is Mode.GLOBAL:
-        return 2 ** sum(p.colour for p in state)
-    size = 1
-    for p in state:
-        size *= p.colour + 1
-    return size
 
 
 def _touched(s: Slice, state: list[BoundaryPoint]) -> tuple[int, ...]:
@@ -464,20 +407,19 @@ def _map_size(kind: str, colours: tuple[int, ...]) -> int:
     return (a + 1) * (b + 1) * (min(a, b) + 1) * (a * b + 1)
 
 
-def _check_size(d: ColouredDiagram, states: list, mode: Mode) -> None:
-    size = max(_state_size(state, mode) for state in states)
-    if size > MAX_STATE:
+def _check_size(d: ColouredDiagram, states: list) -> None:
+    size = max(_radix(tuple(p.colour for p in state)) for state in states)
+    columns = _radix(tuple(p.colour for p in d.bottom))
+    if size * columns > MAX_STATE:
         raise DiagramTooLarge(
-            f"a slice state of {size} basis vectors in {mode.value} mode "
-            f"is over the limit of {MAX_STATE}")
-    if mode is Mode.SLICED:
-        maps = {(s.kind, _touched(s, state))
-                for s, state in zip(d.slices, states)}
-        size = sum(_map_size(kind, colours) for kind, colours in maps)
-        if size > MAX_MAP_SIZE:
-            raise DiagramTooLarge(
-                f"slice maps of about {size} coefficients in sliced mode "
-                f"are over the limit of {MAX_MAP_SIZE}")
+            f"{columns} slice states of up to {size} basis vectors "
+            f"are over the limit of {MAX_STATE}")
+    maps = {(s.kind, _touched(s, state)) for s, state in zip(d.slices, states)}
+    size = sum(_map_size(kind, colours) for kind, colours in maps)
+    if size > MAX_MAP_SIZE:
+        raise DiagramTooLarge(
+            f"slice maps of about {size} coefficients "
+            f"are over the limit of {MAX_MAP_SIZE}")
 
 
 def _shift_budget(d: ColouredDiagram, states: list) -> int:
@@ -506,55 +448,32 @@ def _achieved_window(out: Intertwiner, precision: int) -> bool:
     return True
 
 
-def phi_coloured(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,
-                 mode: Mode = Mode.SLICED) -> Intertwiner:
-    """The intertwiner of a coloured diagram, evaluated in the given mode.
+def phi_coloured(d: ColouredDiagram,
+                 precision: int = DEFAULT_PRECISION) -> Intertwiner:
+    """The intertwiner of a coloured diagram.
 
-    A diagram with a slice state of more than MAX_STATE basis vectors, or
-    in Mode.SLICED with slice maps over MAX_MAP_SIZE, is refused with
-    DiagramTooLarge before any work.  The internal precision starts
-    slightly above the requested one and is escalated (up to the worst-case
-    shift budget of the diagram) whenever the computed entries come back
-    with too narrow a validity window.
+    A diagram whose slice states, one per source basis vector, could hold
+    more than MAX_STATE entries, or whose slice maps are over MAX_MAP_SIZE,
+    is refused with DiagramTooLarge before any work.  The internal precision
+    starts slightly above the requested one and is escalated (up to the
+    worst-case shift budget of the diagram) whenever the computed entries
+    come back with too narrow a validity window.
     """
     states = boundary_states(d)
-    _check_size(d, states, mode)
+    _check_size(d, states)
     cap = _shift_budget(d, states)
     budgets = sorted({min(8, cap), min(32, cap), cap})
     for i, budget in enumerate(budgets):
-        out = _phi_coloured_once(d, states, precision + budget, mode)
+        out = _phi_coloured_once(d, states, precision + budget)
         if i == len(budgets) - 1 or _achieved_window(out, precision):
             return out
     raise AssertionError("unreachable")
 
 
-def _phi_coloured_once(d: ColouredDiagram, states: list, prec: int,
-                       mode: Mode) -> Intertwiner:
+def _phi_coloured_once(d: ColouredDiagram, states: list,
+                       prec: int) -> Intertwiner:
     src = tuple(p.colour for p in d.bottom)
     tgt = tuple(p.colour for p in states[-1])
-    if mode is Mode.GLOBAL:
-        # one inclusion/projection sandwich at the outer boundaries, plus one
-        # projector per coloured cup: strands born inside the diagram never
-        # meet the boundary sandwich, and projector absorption makes this
-        # placement agree with the fully sliced composition
-        columns = {idx: _state(img)
-                   for idx, img in inclusion_list(src).columns}
-        for s, state in zip(d.slices, states):
-            piece = ColouredDiagram("slice", tuple(state), (s,))
-            for cs in cable(piece).slices:
-                columns = _apply_all(_local(_slice_mid(cs.kind)), cs.pos,
-                                     columns)
-            if s.kind == "cup" and s.colour >= 2:
-                # p_m = iota_m o pi_m, applied as two local maps so that the
-                # intermediate vector passes through the small collapsed slot
-                start = 1 + sum(p.colour for p in state[:s.pos - 1])
-                columns = _apply_all(_local(projection(s.colour, prec)),
-                                     start, columns)
-                columns = _apply_all(_local(inclusion(s.colour)), start,
-                                     columns)
-        columns = _apply_all(_local(projection_list(tgt, prec)), 1, columns)
-        return _finish(src, tgt, columns)
-    # sliced: the state lives in the tensor product of the coloured modules
     columns = _basis_states(src)
     for s, state in zip(d.slices, states):
         columns = _apply_all(_coloured_local(s.kind, _touched(s, state), prec),
@@ -563,19 +482,18 @@ def _phi_coloured_once(d: ColouredDiagram, states: list, prec: int,
 
 
 def normalized_invariant(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,
-                         mode: Mode = Mode.SLICED,
                          flip_gamma_sign: bool = False) -> InvariantResult:
     gamma = writhe_gamma(d, flip_sign=flip_gamma_sign)
-    raw = phi_coloured(d, precision, mode)
+    raw = phi_coloured(d, precision)
     return InvariantResult(raw.scale(LaurentSeries.monomial(3 * gamma)), gamma, True)
 
 
-def link_invariant(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,
-                   mode: Mode = Mode.SLICED) -> LaurentSeries:
+def link_invariant(d: ColouredDiagram,
+                   precision: int = DEFAULT_PRECISION) -> LaurentSeries:
     top = validate(d)
     if d.bottom or top:
         raise ValueError("link_invariant needs empty bottom and top boundaries")
-    return normalized_invariant(d, precision, mode).scalar()
+    return normalized_invariant(d, precision).scalar()
 
 
 
@@ -595,8 +513,7 @@ def verify_invariance(colours: int = 1, trials: int = 50,
                       moves: tuple[MoveKind, ...] = (MoveKind.R2,),
                       precision: int = 48, seed: int = 0,
                       n_slices: int = 6, max_strands: int = 6,
-                      flip_gamma_sign: bool = False,
-                      mode: Mode = Mode.SLICED) -> list[TrialReport]:
+                      flip_gamma_sign: bool = False) -> list[TrialReport]:
     """Random move-invariance trials; every entry should come back ok.
 
     Each trial is one checked move.  A draw whose diagram has no site for
@@ -626,8 +543,8 @@ def verify_invariance(colours: int = 1, trials: int = 50,
         loc = sites[trng.randrange(len(sites))]
         try:
             d2 = apply_move(d, move, loc)
-            a = normalized_invariant(d, precision, mode, flip_gamma_sign).value
-            b = normalized_invariant(d2, precision, mode, flip_gamma_sign).value
+            a = normalized_invariant(d, precision, flip_gamma_sign).value
+            b = normalized_invariant(d2, precision, flip_gamma_sign).value
             ok = a.eq_upto(b)
             detail = "" if ok else "invariant changed"
         except Exception as e:  # report, do not crash the harness

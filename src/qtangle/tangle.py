@@ -76,10 +76,6 @@ class ColouredDiagram:
     bottom: tuple[BoundaryPoint, ...]
     slices: tuple[Slice, ...]
 
-    def is_uncoloured(self) -> bool:
-        return all(p.colour == 1 for p in self.bottom) and \
-            all(s.colour in (None, 1) for s in self.slices)
-
 
 # -- validation ---------------------------------------------------------------
 

@@ -1,9 +1,15 @@
 """Command line interface: exit codes, JSON output, determinism."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtangle import cli
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
@@ -41,15 +47,6 @@ class TestEval:
         assert report["series"]["coeffs"] == ["-1", "0", "-1"]
         assert report["series"]["min_deg"] == -1
 
-    def test_modes_agree(self, capsys, unknot_file):
-        _, a, _ = run(capsys, ["eval", unknot_file, "--json",
-                               "--precision", "16", "--mode", "global"])
-        _, b, _ = run(capsys, ["eval", unknot_file, "--json",
-                               "--precision", "16", "--mode", "sliced"])
-        sa, sb = json.loads(a)["series"], json.loads(b)["series"]
-        # the validity window may differ between modes; the values must not
-        assert (sa["min_deg"], sa["coeffs"]) == (sb["min_deg"], sb["coeffs"])
-
     def test_open_tangle_reports_intertwiner(self, capsys, tmp_path):
         f = tmp_path / "strand.tangle"
         f.write_text("bottom +1\npos 1\nneg 1\n" .replace("pos 1\nneg 1\n", ""))
@@ -72,14 +69,24 @@ class TestEval:
         assert code == EXIT_VALIDATE
         assert "validation error" in err
 
-    @pytest.mark.parametrize("mode", ["sliced", "global"])
-    def test_oversized_state_exit_3_at_once(self, capsys, tmp_path, mode):
+    def test_oversized_state_exit_3_at_once(self, capsys, tmp_path):
         # 31^6 basis vectors on the three colour-30 cups; the guard answers
         # before the first cup's map is built
         f = tmp_path / "big.tangle"
         f.write_text("bottom\n" + "cup 1 30 u\n" * 3 + "cap 1\n" * 3)
         t0 = time.monotonic()
-        code, out, err = run(capsys, ["eval", str(f), "--mode", mode])
+        code, out, err = run(capsys, ["eval", str(f)])
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_VALIDATE and out == ""
+        assert err.count("\n") == 1 and "over the limit" in err
+
+    def test_open_tangle_of_many_columns_exit_3_at_once(self, capsys,
+                                                         tmp_path):
+        # 1001^2 source basis vectors, each with a state of 1001^2
+        f = tmp_path / "wide.tangle"
+        f.write_text("bottom +1000 -1000\n")
+        t0 = time.monotonic()
+        code, out, err = run(capsys, ["eval", str(f), "--json"])
         assert time.monotonic() - t0 < 1
         assert code == EXIT_VALIDATE and out == ""
         assert err.count("\n") == 1 and "over the limit" in err
@@ -112,11 +119,49 @@ class TestEval:
         assert code == EXIT_PARSE
         assert "parse error" in err and "line 3" in err
 
-    def test_default_mode_is_sliced(self, capsys, unknot_file):
-        code, out, _ = run(capsys, ["eval", unknot_file, "--json",
-                                    "--precision", "16"])
-        assert code == EXIT_OK
-        assert json.loads(out)["mode"] == "sliced"
+
+# diagram DSL lines from its grammar's words, with values its parser or
+# validator must refuse, and junk; repeated words are drawn more often
+POINTS = st.lists(st.sampled_from(["+1", "-1", "+2", "-2", "+3", "-3"] * 3 +
+                                  ["+0", "+1000", "-1000", "+", "x1"]),
+                  max_size=3)
+POSITIONS = st.integers(-1, 5).map(str)
+SLICE = st.one_of(
+    st.tuples(st.just("cup"), POSITIONS,
+              st.sampled_from(["1", "2", "3"] * 3 + ["0", "1000", "1.5"]),
+              st.sampled_from(["u", "d"] * 4 + ["x"])).map(" ".join),
+    st.tuples(st.sampled_from(["cap", "pos", "neg"]), POSITIONS
+              ).map(" ".join))
+JUNK = st.lists(st.one_of(st.sampled_from(["bottom", "cup", "cap", "#", "2"]),
+                          st.text(max_size=6)), max_size=3).map(" ".join)
+DSL_LINE = st.one_of(SLICE, SLICE, SLICE, SLICE, SLICE, SLICE,
+                     POINTS.map(lambda ps: " ".join(["expect-top", *ps])),
+                     JUNK)
+BOTTOM = POINTS.map(lambda ps: [" ".join(["bottom", *ps])])
+DSL = st.tuples(st.one_of(st.just([]), BOTTOM, BOTTOM, BOTTOM),
+                st.lists(DSL_LINE, max_size=8)).map(lambda t: t[0] + t[1])
+
+
+class TestEvalFuzz:
+    @settings(max_examples=150, deadline=None)
+    @given(lines=DSL)
+    def test_any_input_exits_0_2_or_3(self, lines):
+        # in-process, so that any exception fails the test
+        fd, path = tempfile.mkstemp(suffix=".tangle")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                code = main(["eval", path, "--precision", "16"])
+        finally:
+            os.unlink(path)
+        assert code in (EXIT_OK, EXIT_PARSE, EXIT_VALIDATE)
+        if code == EXIT_OK:
+            assert out.getvalue() and not err.getvalue()
+        else:
+            assert not out.getvalue() and err.getvalue().count("\n") == 1
 
 
 class TestUsageAndPrecision:

@@ -1,5 +1,7 @@
 """Cups, caps, crossings, projections, Jones-Wenzl projectors, slide checks."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -150,3 +152,11 @@ class TestAlgebraOfMaps:
         blocks = crossing_pos(2, 1).blocks()
         assert set(blocks) == {-2, 0, 2}
         assert len(blocks[0]) == 2 and len(blocks[0][0]) == 2
+
+    def test_blocks_of_a_wide_module_are_fast(self):
+        # one pass over the basis, not one per weight: 1001 weights of V_1000
+        t0 = time.monotonic()
+        blocks = Intertwiner.identity((1000,)).blocks()
+        assert time.monotonic() - t0 < 1
+        assert sorted(blocks) == list(range(-1000, 1001, 2))
+        assert all(b == [[LaurentSeries.one()]] for b in blocks.values())

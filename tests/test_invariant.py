@@ -7,14 +7,16 @@ from functools import lru_cache
 
 import pytest
 
-from qtangle.intertwiner import Intertwiner, inclusion, positioned, projection
-from qtangle.invariant import (MAX_STATE, DiagramTooLarge, Mode,
+from qtangle.intertwiner import (Intertwiner, cap, crossing_neg,
+                                  crossing_pos, cup, inclusion, positioned,
+                                  projection)
+from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
                                _apply_all, _apply_local, _basis_states,
-                               _binomials, _coloured_local,
-                               _element, _finish, _index, _local, _slice_mid,
-                               _state, _theta, link_invariant,
-                               normalized_invariant, phi, phi_coloured,
-                               verify_invariance)
+                               _binomials, _coloured_local, _element, _finish,
+                               _index, _key, _make_local, _theta,
+                               link_invariant, normalized_invariant,
+                               phi_coloured, verify_invariance)
+from qtangle.packing import pack, width
 from qtangle.qseries import LaurentSeries, quantum_binomial, quantum_integer
 from qtangle.uqsl2 import ModuleElement, basis_indices, weight
 from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
@@ -30,18 +32,49 @@ def unknot(m: int) -> str:
     return UNKNOT.format(m=m)
 
 
+@lru_cache(maxsize=None)
+def slice_mid(kind: str) -> Intertwiner:
+    """The two-strand (or zero-strand) map of a colour-1 slice."""
+    if kind == "cup":
+        return cup()
+    if kind == "cap":
+        return cap()
+    if kind == "pos":
+        return crossing_pos(2, 1)
+    return crossing_neg(2, 1)
+
+
+# adapters from full-width maps and module elements to the evaluator's
+# local maps and states
+@lru_cache(maxsize=None)
+def to_local(mid: Intertwiner) -> _Local:
+    return _make_local(mid.source, mid.target,
+                       ((idx, img.coords) for idx, img in mid.columns))
+
+
+def to_state(x: ModuleElement) -> _State:
+    base = min((c.min_deg for _, c in x.coords), default=0)
+    bound = max((abs(a) for _, c in x.coords for a in c.coeffs), default=0)
+    bits = width(bound)
+    coords, valid = {}, {}
+    for idx, c in x.coords:
+        key = _key(idx, x.colours)
+        coords[key] = pack(c.coeffs, bits) << bits * (c.min_deg - base)
+        if c.valid_to is not None:
+            valid[key] = c.valid_to
+    return _State(x.colours, coords, valid, base, bits, bound)
+
+
 class TestPhi:
+    """phi_coloured on cabled diagrams."""
+
     def test_identity_strand(self):
         d = cable(parse("bottom +1\n"))
-        assert phi(d).eq_upto(Intertwiner.identity((1,)))
+        assert phi_coloured(d).eq_upto(Intertwiner.identity((1,)))
 
     def test_circle(self):
         d = cable(parse(unknot(1)))
-        assert phi(d).scalar().eq_upto(quantum_integer(2).scale(-1))
-
-    def test_rejects_coloured_input(self):
-        with pytest.raises(ValueError):
-            phi(parse("bottom +2 -2\ncap 1\n"))
+        assert phi_coloured(d).scalar().eq_upto(quantum_integer(2).scale(-1))
 
 
 class TestColouredUnknots:
@@ -168,11 +201,10 @@ class TestMirrorSymmetry:
 class TestSizeGuard:
     def test_oversized_state_is_refused_before_any_work(self):
         big = parse("bottom\n" + "cup 1 30 u\n" * 3 + "cap 1\n" * 3)
-        for mode in Mode:
-            _coloured_local.cache_clear()
-            with pytest.raises(DiagramTooLarge, match="over the limit"):
-                phi_coloured(big, PREC, mode)
-            assert _coloured_local.cache_info().currsize == 0
+        _coloured_local.cache_clear()
+        with pytest.raises(DiagramTooLarge, match="over the limit"):
+            phi_coloured(big, PREC)
+        assert _coloured_local.cache_info().currsize == 0
 
     def test_oversized_maps_are_refused_before_any_work(self):
         # 1001^2 basis vectors pass MAX_STATE; the colour-1000 cup and cap
@@ -188,92 +220,23 @@ class TestSizeGuard:
             assert _coloured_local.cache_info().currsize == 0
             assert _binomials.cache_info().currsize == 0
 
+    def test_open_tangles_count_a_state_per_column(self):
+        # 1001^2 columns of 1001^2 basis vectors each, refused at once; 1001
+        # columns of 1001 pass
+        t0 = time.monotonic()
+        with pytest.raises(DiagramTooLarge, match="over the limit"):
+            phi_coloured(parse("bottom +1000 -1000\n"), PREC)
+        assert time.monotonic() - t0 < 1
+        assert 1001 ** 2 <= MAX_STATE
+        value = phi_coloured(parse("bottom +1000\n"), PREC)
+        assert value.eq_upto(Intertwiner.identity((1000,)))
+
     def test_tier_one_colours_are_under_the_map_limit(self):
         # the colour-7 trefoil, the largest map tier-1 evaluates, and the
         # colour-11 Hopf link, the largest crossing at the limit
         for text in (braid_closure([1, 1, 1], [7, 7]),
                      braid_closure([1, 1], [11, 11])):
             link_invariant(parse(text), 16)
-
-    def test_global_counts_the_cabled_width(self):
-        # 13^2 coloured states, 2^24 cabled ones
-        d = parse(unknot(12))
-        assert 13 ** 2 <= MAX_STATE < 2 ** 24
-        assert link_invariant(d, PREC, Mode.SLICED).eq_upto(
-            quantum_integer(13))
-        with pytest.raises(DiagramTooLarge, match="over the limit"):
-            link_invariant(d, PREC, Mode.GLOBAL)
-
-
-def window_narrowing(ref: Intertwiner, got: Intertwiner) -> list[str]:
-    """Entries where got differs from ref on their common window, or where
-    got is truncated below ref's window."""
-    assert (ref.source, ref.target) == (got.source, got.target)
-    c1, c2 = dict(ref.columns), dict(got.columns)
-    bad = []
-    for idx in set(c1) | set(c2):
-        e1 = dict(c1[idx].coords) if idx in c1 else {}
-        e2 = dict(c2[idx].coords) if idx in c2 else {}
-        for jdx in set(e1) | set(e2):
-            a = e1.get(jdx, LaurentSeries.zero())
-            b = e2.get(jdx, LaurentSeries.zero())
-            if not a.eq_upto(b):
-                bad.append(f"{idx}->{jdx}: values differ")
-            elif b.valid_to is not None and (a.valid_to is None
-                                             or b.valid_to < a.valid_to):
-                bad.append(f"{idx}->{jdx}: window {b.valid_to} < "
-                           f"{a.valid_to}")
-    return bad
-
-
-class TestModes:
-    @pytest.mark.parametrize("text", [
-        "bottom +2\ncup 2 2 u\npos 1\ncap 2\n",
-        "bottom\ncup 1 2 u\ncap 1\n",
-        "bottom +1 -1\ncup 2 2 d\npos 1\nneg 1\ncap 2\n",
-        braid_closure([1, 1, 1], [3, 3]),
-        braid_closure([1, 1], [2, 3]),
-        "bottom +2 -3\npos 1\n",
-    ])
-    def test_global_equals_sliced(self, text):
-        d = parse(text)
-        a = phi_coloured(d, PREC, Mode.GLOBAL)
-        b = phi_coloured(d, PREC, Mode.SLICED)
-        assert a.eq_upto(b)
-
-    def test_default_mode_keeps_colour_one_tangles_exact(self):
-        # pi_1 is the exact identity, so neither mode truncates a colour-1
-        # tangle
-        d = parse("bottom +1 -1\npos 1\ncup 2 1 u\nneg 2\n")
-        for mode in Mode:
-            entries = [s for _, img in
-                       normalized_invariant(d, PREC, mode).value.columns
-                       for _, s in img.coords]
-            assert entries and all(s.valid_to is None for s in entries), mode
-
-    def test_seeded_corpus_against_global(self):
-        """Native values agree with the cabled reference on the common
-        window, and no native entry is truncated below the reference."""
-        diagrams = [random_link(8, 1 + seed % 3, seed, max_width=6)
-                    for seed in range(12)]
-        for seed in range(12):
-            rng = random.Random(seed)
-            colours = 1 + seed % 3
-            bottom = [BoundaryPoint(rng.randint(1, colours), rng.random() < 0.5)
-                      for _ in range(rng.randint(0, 3))]
-            diagrams.append(random_diagram(bottom, 5, colours, seed,
-                                           max_width=6))
-        for d in diagrams:
-            ref = normalized_invariant(d, PREC, Mode.GLOBAL).value
-            got = normalized_invariant(d, PREC, Mode.SLICED).value
-            assert window_narrowing(ref, got) == [], d.name
-
-    def test_colour_one_links_are_exact(self):
-        links = [parse(braid_closure([1, 1, 1], [1, 1])),
-                 parse(braid_closure([1, -2, 1, -2], [1, 1, 1]))]
-        links += [random_link(10, 1, seed, max_width=8) for seed in range(8)]
-        for d in links:
-            assert link_invariant(d, PREC).valid_to is None, d.name
 
 
 @lru_cache(maxsize=None)
@@ -294,9 +257,8 @@ def readout(m: int) -> Intertwiner:
 
 @lru_cache(maxsize=None)
 def cabled_map(kind: str, colours: tuple[int, ...], prec: int) -> Intertwiner:
-    """The oracle for the closed-form slice maps: pi o phi(cable(slice)) o
-    iota for one coloured slice, built from colour-1 cups, caps and
-    crossings.
+    """The oracle for the closed-form slice maps: pi o cable(slice) o iota
+    for one coloured slice, built from colour-1 cups, caps and crossings.
 
     ``colours`` is the cup's colour, or the colours of the two points a cap
     or crossing joins.  Jones-Wenzl projectors slide through crossings and
@@ -322,14 +284,14 @@ def cabled_map(kind: str, colours: tuple[int, ...], prec: int) -> Intertwiner:
     # factors not yet expanded or already collapsed keep one slot each
     for j in reversed(range(len(src))):
         if src[j] > 1:
-            columns = _apply_all(_local(inclusion(src[j])), j + 1, columns)
+            columns = _apply_all(to_local(inclusion(src[j])), j + 1, columns)
     for s in cable(piece).slices:
-        columns = _apply_all(_local(_slice_mid(s.kind)), s.pos, columns)
+        columns = _apply_all(to_local(slice_mid(s.kind)), s.pos, columns)
     for j, m in enumerate(tgt):
         if m > 1:
             pi = projection(m, prec) if kind == "cup" and j == 0 \
                 else readout(m)
-            columns = _apply_all(_local(pi), j + 1, columns)
+            columns = _apply_all(to_local(pi), j + 1, columns)
     return _finish(src, tgt, columns)
 
 
@@ -358,7 +320,7 @@ class TestClosedFormSliceMaps:
     def test_crossings(self, kind, prec):
         for a in range(1, 6):
             for b in range(1, 6):
-                want = local_entries(_local(cabled_map(kind, (a, b), prec)))
+                want = local_entries(to_local(cabled_map(kind, (a, b), prec)))
                 got = local_entries(_coloured_local(kind, (a, b), prec))
                 assert got == want, (kind, a, b, prec)
 
@@ -367,7 +329,7 @@ class TestClosedFormSliceMaps:
         windowed = 0
         for m in range(1, 6):
             for kind, colours in (("cup", (m,)), ("cap", (m, m))):
-                want = local_entries(_local(cabled_map(kind, colours, prec)))
+                want = local_entries(to_local(cabled_map(kind, colours, prec)))
                 got = local_entries(_coloured_local(kind, colours, prec))
                 assert got == want, (kind, m, prec)
                 windowed += sum(v is not None for img in got[2].values()
@@ -392,16 +354,16 @@ def seeded_state(rng: random.Random, colours, scale: int = 1) -> ModuleElement:
 
 
 def local_apply(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
-    return _element(_apply_local(_local(mid), i, _state(x)))
+    return _element(_apply_local(to_local(mid), i, to_state(x)))
 
 
 # the colour-1 slices, the projections and inclusions, and one coloured
 # crossing map, each on 4 strands with colour-1 neighbours
 LOCAL_MAPS = {
-    "cup": lambda: _slice_mid("cup"),
-    "cap": lambda: _slice_mid("cap"),
-    "pos": lambda: _slice_mid("pos"),
-    "neg": lambda: _slice_mid("neg"),
+    "cup": lambda: slice_mid("cup"),
+    "cap": lambda: slice_mid("cap"),
+    "pos": lambda: slice_mid("pos"),
+    "neg": lambda: slice_mid("neg"),
     "projection2": lambda: projection(2, 6),
     "projection3": lambda: projection(3, 6),
     "inclusion2": lambda: inclusion(2),
@@ -428,11 +390,11 @@ class TestApplyLocal:
             full = positioned(mid, i, n)
             for seed in range(12):
                 x = seeded_state(random.Random(seed), colours, scale)
-                packed = _apply_local(_local(mid), i, _state(x))
+                packed = _apply_local(to_local(mid), i, to_state(x))
                 got = _element(packed)
                 assert got == full.apply(x), (name, i, seed)
                 windowed += sum(c.valid_to is not None for _, c in got.coords)
-                wider += packed.bits > _state(x).bits
+                wider += packed.bits > to_state(x).bits
         return windowed, wider
 
     @pytest.mark.parametrize("name", list(LOCAL_MAPS))
@@ -448,11 +410,11 @@ class TestApplyLocal:
     def test_wide_coefficients_are_repacked(self, name, scale):
         windowed, wider = self.check_full_width(name, scale)
         assert windowed > 20
-        assert (wider > 0) == (_local(LOCAL_MAPS[name]()).norm > 1)
+        assert (wider > 0) == (to_local(LOCAL_MAPS[name]()).norm > 1)
 
     def test_entry_that_cancels_is_dropped(self):
         # cap(q^-1 v0 v1 + v1 v0) = q^-1 - q^-1
-        mid = _slice_mid("cap")
+        mid = slice_mid("cap")
         x = ModuleElement.make((1, 1), {
             (0, 1): LaurentSeries.make(-1, [1], 3),
             (1, 0): LaurentSeries.make(0, [1], 4)})
@@ -462,7 +424,7 @@ class TestApplyLocal:
     def test_entry_above_its_window_is_dropped(self):
         # q^-1 + q^5 - q^-1 leaves q^5, above the window q^1 of the second
         # product
-        mid = _slice_mid("cap")
+        mid = slice_mid("cap")
         x = ModuleElement.make((1, 1), {
             (0, 1): LaurentSeries.make(-1, [1, 0, 0, 0, 0, 0, 1]),
             (1, 0): LaurentSeries.make(0, [1], 2)})
@@ -500,8 +462,7 @@ class TestIntegrality:
             assert not val.is_zero(), d.name
             assert all(type(c) is int for c in val.coeffs), d.name
 
-    @pytest.mark.parametrize("mode", list(Mode))
-    def test_open_tangle_entries_are_ints(self, mode):
+    def test_open_tangle_entries_are_ints(self):
         # every binomial has leading coefficient 1, so even the inverted
         # binomials inside the projections expand over Z
         entries = 0
@@ -511,12 +472,26 @@ class TestIntegrality:
             bottom = [BoundaryPoint(rng.randint(1, colours), rng.random() < 0.5)
                       for _ in range(rng.randint(0, 3))]
             d = random_diagram(bottom, 5, colours, seed, max_width=6)
-            value = normalized_invariant(d, PREC, mode).value
+            value = normalized_invariant(d, PREC).value
             for _, img in value.columns:
                 for _, series in img.coords:
                     assert all(type(c) is int for c in series.coeffs), d.name
                     entries += 1
         assert entries > 50
+
+    def test_colour_one_tangles_are_exact(self):
+        # pi_1 is the exact identity, so nothing truncates a colour-1 tangle
+        d = parse("bottom +1 -1\npos 1\ncup 2 1 u\nneg 2\n")
+        entries = [s for _, img in normalized_invariant(d, PREC).value.columns
+                   for _, s in img.coords]
+        assert entries and all(s.valid_to is None for s in entries)
+
+    def test_colour_one_links_are_exact(self):
+        links = [parse(braid_closure([1, 1, 1], [1, 1])),
+                 parse(braid_closure([1, -2, 1, -2], [1, 1, 1]))]
+        links += [random_link(10, 1, seed, max_width=8) for seed in range(8)]
+        for d in links:
+            assert link_invariant(d, PREC).valid_to is None, d.name
 
 
 class TestHarness:
