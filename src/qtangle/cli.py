@@ -37,8 +37,9 @@ EXIT_USAGE = 64
 PRECISION_ENV = "QTANGLE_PRECISION"
 MIN_PRECISION = 8
 # a bound on the work one request can ask for: at this precision, in a
-# fresh process on a 2-vCPU VM, eval of the colour-3 trefoil takes about
-# 0.2-0.3 s and verify jones-wenzl --n 4 takes 3.6-5 s
+# fresh process on a 2-vCPU VM with Python 3.11, eval of the colour-3
+# trefoil takes 0.16-0.23 s and verify jones-wenzl --n 4 takes 4.5-6.6 s,
+# nearly all of it in series products
 MAX_PRECISION = 1024
 
 _MOVES = {m.value: m for m in MoveKind}
@@ -162,7 +163,8 @@ def _cmd_eval(args) -> int:
         report["series"] = series.to_json()
         lines.append(f"value:   {series}")
     else:
-        report["value"] = res.value.to_json()
+        if args.json:  # the dense blocks; text mode prints only a count
+            report["value"] = res.value.to_json()
         lines.append(f"value:   intertwiner with {len(res.value.columns)} "
                      "nonzero columns (use --json for entries)")
     _emit(report, args.json, lines)

@@ -1,13 +1,14 @@
-"""Sparse multivariate polynomials over Q and exact Fraction linear algebra.
+"""Sparse multivariate polynomials over Q and exact linear algebra.
 
 Shared plumbing for the commutative-algebra checks: polynomial rings with
 rational coefficients, exact long division, and the one echelon routine of
-the package.  ``Span`` keeps a sparse echelon basis (vectors are dicts
-key -> Fraction, the pivot of a row is its least key) and grows it one
-vector at a time; ``rref``, ``rank`` and ``nullspace`` read it off for a
-list of sparse rows.  Callers key rows by the objects they already index
-(monomials, chain-basis entries, candidate paths), so no dense matrix or
-column map is ever built.
+the package.  A polynomial coefficient is an ``int`` when it is integral
+and a ``Fraction`` otherwise, as in ``qseries``; no float ever appears.
+``Span`` keeps a sparse echelon basis (vectors are dicts key -> Fraction,
+the pivot of a row is its least key) and grows it one vector at a time;
+``rref``, ``rank`` and ``nullspace`` read it off for a list of sparse rows.
+Callers key rows by the objects they already index (monomials, chain-basis
+entries, candidate paths), so no dense matrix or column map is ever built.
 """
 
 from __future__ import annotations
@@ -15,18 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .qseries import _coef
+
 __all__ = ["Poly", "Span", "rref", "rank", "nullspace"]
 
 
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial in nvars commuting variables with Fraction coefficients.
+    """Polynomial in nvars commuting variables with rational coefficients.
 
-    terms maps exponent tuples to nonzero coefficients, stored sorted.
+    terms maps exponent tuples to nonzero coefficients, stored sorted; a
+    coefficient is an int when integral and a Fraction otherwise.
     """
 
     nvars: int
-    terms: tuple[tuple[tuple[int, ...], Fraction], ...]
+    terms: tuple[tuple[tuple[int, ...], int | Fraction], ...]
 
     @staticmethod
     def make(nvars: int, terms) -> "Poly":
@@ -39,7 +43,7 @@ class Poly:
             exps = tuple(exps)
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
-            c = Fraction(c)
+            c = _coef(c)
             if c:
                 clean.append((exps, c))
         clean.sort(key=lambda t: t[0])
@@ -51,18 +55,18 @@ class Poly:
 
     @staticmethod
     def constant(nvars: int, c) -> "Poly":
-        return Poly.make(nvars, {(0,) * nvars: Fraction(c)})
+        return Poly.make(nvars, {(0,) * nvars: c})
 
     @staticmethod
     def variable(i: int, nvars: int) -> "Poly":
         exps = tuple(1 if j == i else 0 for j in range(nvars))
-        return Poly.make(nvars, {exps: Fraction(1)})
+        return Poly.make(nvars, {exps: 1})
 
     @staticmethod
     def monomial(nvars: int, exps, c=1) -> "Poly":
-        return Poly.make(nvars, {tuple(exps): Fraction(c)})
+        return Poly.make(nvars, {tuple(exps): c})
 
-    def as_dict(self) -> dict[tuple[int, ...], Fraction]:
+    def as_dict(self) -> dict[tuple[int, ...], int | Fraction]:
         return dict(self.terms)
 
     def is_zero(self) -> bool:
@@ -73,7 +77,7 @@ class Poly:
             raise ValueError("mixed variable counts")
         d = self.as_dict()
         for exps, c in other.terms:
-            d[exps] = d.get(exps, Fraction(0)) + c
+            d[exps] = d.get(exps, 0) + c
         return Poly.make(self.nvars, d)
 
     def __neg__(self) -> "Poly":
@@ -85,26 +89,27 @@ class Poly:
     def __mul__(self, other: "Poly") -> "Poly":
         if self.nvars != other.nvars:
             raise ValueError("mixed variable counts")
-        d: dict[tuple[int, ...], Fraction] = {}
+        d: dict[tuple[int, ...], int | Fraction] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
-                d[e] = d.get(e, Fraction(0)) + c1 * c2
+                d[e] = d.get(e, 0) + c1 * c2
         return Poly.make(self.nvars, d)
 
     def scale(self, c) -> "Poly":
-        c = Fraction(c)
-        return Poly(self.nvars, tuple((e, s * c) for e, s in self.terms)) if c \
-            else Poly.zero(self.nvars)
+        c = _coef(c)
+        if not c:
+            return Poly.zero(self.nvars)
+        return Poly(self.nvars, tuple((e, _coef(s * c)) for e, s in self.terms))
 
     def map_exponents(self, fn) -> "Poly":
         """Apply fn(exps) -> new exponent tuple termwise (variable relabelling)."""
-        d: dict[tuple[int, ...], Fraction] = {}
+        d: dict[tuple[int, ...], int | Fraction] = {}
         nv = None
         for exps, c in self.terms:
             new = tuple(fn(exps))
             nv = len(new)
-            d[new] = d.get(new, Fraction(0)) + c
+            d[new] = d.get(new, 0) + c
         if nv is None:
             raise ValueError("cannot infer variable count from the zero polynomial")
         return Poly.make(nv, d)
@@ -129,14 +134,15 @@ class Poly:
             raise ValueError("division by zero polynomial")
         lead_e, lead_c = max(divisor.terms, key=lambda t: t[0])
         rem = self
-        quot: dict[tuple[int, ...], Fraction] = {}
+        quot: dict[tuple[int, ...], int | Fraction] = {}
         while not rem.is_zero():
             re, rc = max(rem.terms, key=lambda t: t[0])
             qe = tuple(a - b for a, b in zip(re, lead_e))
             if any(e < 0 for e in qe):
                 raise ValueError("division not exact")
-            qc = rc / lead_c
-            quot[qe] = quot.get(qe, Fraction(0)) + qc
+            # a true division: Fraction, never the float of int / int
+            qc = _coef(Fraction(rc, lead_c))
+            quot[qe] = quot.get(qe, 0) + qc
             rem = rem - divisor * Poly.monomial(self.nvars, qe, qc)
         return Poly.make(self.nvars, quot)
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactla import Poly, rank, rref
+from .qseries import _coef
 
 __all__ = [
     "r_poly", "GrCohomology", "build_cohomology",
@@ -47,7 +47,7 @@ def r_poly(j: int, k: int, n: int) -> Poly:
     terms = {}
     for m in _tuples_of_weight(k, n - k + j, weights):
         total = sum(m)
-        c = Fraction(_multinomial(m))
+        c = _multinomial(m)
         terms[m] = c if total % 2 == 0 else -c
     return Poly.make(k, terms)
 
@@ -65,7 +65,8 @@ class GrCohomology:
     """Monomial basis of C[e_1..e_k]/(r_1..r_k) with a degreewise reducer.
 
     reduction maps a pivot monomial to its expansion over basis monomials;
-    basis monomials reduce to themselves.
+    basis monomials reduce to themselves.  Coefficients are ints when
+    integral and Fractions otherwise.
     """
 
     k: int
@@ -88,17 +89,18 @@ class GrCohomology:
             out[d] = out.get(d, 0) + 1
         return out
 
-    def reduce_monomial(self, m: tuple[int, ...]) -> dict[tuple[int, ...], Fraction]:
+    def reduce_monomial(self, m: tuple[int, ...]) -> dict:
         m = tuple(m)
         if m in self.reduction:
             return dict(self.reduction[m])
         raise ValueError(f"monomial {m} outside the tabulated reduction range")
 
-    def reduce(self, p: Poly) -> dict[tuple[int, ...], Fraction]:
-        out: dict[tuple[int, ...], Fraction] = {}
+    def reduce(self, p: Poly) -> dict:
+        """Coordinates of p over the basis monomials, zeros dropped."""
+        out: dict = {}
         for exps, c in p.terms:
             for b, cb in self.reduce_monomial(exps).items():
-                v = out.get(b, Fraction(0)) + c * cb
+                v = out.get(b, 0) + c * cb
                 if v:
                     out[b] = v
                 elif b in out:
@@ -137,9 +139,9 @@ def build_cohomology(k: int, n: int, extra_weight: int | None = None) -> GrCohom
         for m in free:
             if d <= top:
                 basis.append(m)
-            reduction[m] = {m: Fraction(1)} if d <= top else {}
+            reduction[m] = {m: 1} if d <= top else {}
         for p, row in red.items():
-            reduction[p] = {f: -c for f, c in row.items()
+            reduction[p] = {f: -_coef(c) for f, c in row.items()
                             if f != p and d <= top}
         if d > top and free:
             raise ValueError(
@@ -204,7 +206,7 @@ class TensorSquare:
             right = self.H.reduce_monomial(exps[k:])
             for a, ca in left.items():
                 for b, cb in right.items():
-                    v = out.get((a, b), Fraction(0)) + c * ca * cb
+                    v = out.get((a, b), 0) + c * ca * cb
                     if v:
                         out[(a, b)] = v
                     elif (a, b) in out:
@@ -307,18 +309,25 @@ class WolffhardtComplex:
         """Homology graded dimensions {h: {q: dim}} for h_bound < h <= 0."""
         bases = {h: self._chain_basis(h, hh)
                  for h in range(self.h_bound, 1)}
+        # the rank of d_h in degree q counts against cycles at h and as
+        # boundaries at h + 1: compute it once
+        ranks: dict[tuple[int, int], int] = {}
+
+        def rank_at(h: int, q: int) -> int:
+            if (h, q) not in ranks:
+                src = [e for e in bases[h] if e[2] == q]
+                ranks[h, q] = rank(self._matrix(h, hh, src))
+            return ranks[h, q]
+
         out: dict[int, dict[int, int]] = {}
         for h in range(self.h_bound + 1, 1):
             qs = sorted({q for _, _, q in bases[h]})
             dims: dict[int, int] = {}
             for q in qs:
-                src = [e for e in bases[h] if e[2] == q]
+                cycles = sum(1 for e in bases[h] if e[2] == q)
                 if h < 0:
-                    cycles = len(src) - rank(self._matrix(h, hh, src))
-                else:
-                    cycles = len(src)
-                prev = [e for e in bases[h - 1] if e[2] == q]
-                boundaries = rank(self._matrix(h - 1, hh, prev))
+                    cycles -= rank_at(h, q)
+                boundaries = rank_at(h - 1, q)
                 if cycles - boundaries:
                     dims[q] = cycles - boundaries
             out[h] = dims
@@ -361,7 +370,7 @@ def _differential(g: Generator, db, k: int) -> dict[Generator, Poly]:
             if coeff.is_zero() or i in fs:
                 continue
             swaps = sum(1 for x in fs if x < i)
-            sign = Fraction(mult) if swaps % 2 == 0 else Fraction(-mult)
+            sign = mult if swaps % 2 == 0 else -mult
             new_f = tuple(sorted(fs + (i,)))
             add((tuple(rest_b), new_f), coeff.scale(sign))
     # f factors are odd: alternating signs along the wedge

@@ -32,7 +32,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .packing import WORD, cut, low_digit, pack, unpack, width
-from .qseries import DEFAULT_PRECISION, LaurentSeries
+from .qseries import DEFAULT_PRECISION, LaurentSeries, binomial_row
 from .uqsl2 import ModuleElement, basis_indices
 from .intertwiner import Intertwiner
 from .tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
@@ -282,31 +282,6 @@ def _finish(src: tuple[int, ...], tgt: tuple[int, ...],
 
 
 @lru_cache(maxsize=None)
-def _binomials(n: int) -> tuple[LaurentSeries, ...]:
-    """The row [n, 0], ..., [n, n] of quantum binomials.
-
-    [n, k] = q^(-k(n-k)) g_k(q^2) for the Gaussian binomial
-    g_k = g_(k-1) (1 - x^(n-k+1)) / (1 - x^k), so each entry takes one
-    multiplication and one exact division of integer lists: about n^3/6
-    steps for the row, with nothing recursing and no other row kept.
-    """
-    row = [LaurentSeries.one()]
-    g = [1]
-    for k in range(1, n + 1):
-        s = n - k + 1
-        g += [0] * s
-        for e in range(len(g) - 1, s - 1, -1):
-            g[e] -= g[e - s]
-        for e in range(k, len(g)):
-            g[e] += g[e - k]
-        del g[len(g) - k:]
-        coeffs = [0] * (2 * len(g) - 1)
-        coeffs[::2] = g
-        row.append(LaurentSeries.make(-k * (n - k), coeffs))
-    return tuple(row)
-
-
-@lru_cache(maxsize=None)
 def _theta(n: int) -> LaurentSeries:
     """theta_n = (-1)^n q^(-n(n-1)/2) (q - q^-1)^n [n]!, the coefficient of
     E^(n) (x) F^(n) in the quasi-R-matrix; theta_n / theta_(n-1) = q^(1-2n) - q."""
@@ -341,7 +316,7 @@ def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
         m, = colours
         terms = []
         for j in range(m + 1):
-            c = _binomials(m)[j]
+            c = binomial_row(m)[j]
             if m > 1:
                 c = c.invert(prec)
             terms.append(((m - j, j),
@@ -350,7 +325,7 @@ def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
     a, b = colours
     if kind == "cap":
         return _make_local((a, b), (), [
-            ((k, a - k), [((), _binomials(a)[k].shift(-k * (k - a + 1))
+            ((k, a - k), [((), binomial_row(a)[k].shift(-k * (k - a + 1))
                            .scale((-1) ** k))])
             for k in range(a + 1)])
     sign = (-1) ** (a * b)
@@ -360,15 +335,15 @@ def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
             terms = []
             if kind == "pos":
                 for n in range(min(a - i, j) + 1):
-                    c = _theta(n) * _binomials(i + n)[n] * \
-                        _binomials(b - j + n)[n]
+                    c = _theta(n) * binomial_row(i + n)[n] * \
+                        binomial_row(b - j + n)[n]
                     e = (-3 * a * b - (2 * (i + n) - a) * (2 * (j - n) - b)) // 2
                     terms.append(((j - n, i + n), c.shift(e).scale(sign)))
             else:
                 e = (3 * a * b + (2 * i - a) * (2 * j - b)) // 2
                 for n in range(min(b - j, i) + 1):
-                    c = _theta(n).bar() * _binomials(j + n)[n] * \
-                        _binomials(a - i + n)[n]
+                    c = _theta(n).bar() * binomial_row(j + n)[n] * \
+                        binomial_row(a - i + n)[n]
                     terms.append(((j + n, i - n), c.shift(e).scale(sign)))
             columns.append(((i, j), terms))
     return _make_local((a, b), (b, a), columns)

@@ -15,6 +15,7 @@ from qtangle import cli
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
                          EXIT_VERIFY, MAX_PRECISION, MIN_PRECISION,
                          PRECISION_ENV, build_parser, main)
+from qtangle.intertwiner import Intertwiner
 
 UNKNOT = "bottom\ncup 1 1 u\ncap 1\n"
 
@@ -54,6 +55,18 @@ class TestEval:
                                     "--precision", "16"])
         assert code == EXIT_OK
         assert "value" in json.loads(out)
+
+    def test_text_mode_builds_no_json_blocks(self, capsys, tmp_path,
+                                             monkeypatch):
+        def refuse(self):
+            raise AssertionError("to_json called without --json")
+
+        monkeypatch.setattr(Intertwiner, "to_json", refuse)
+        f = tmp_path / "strands.tangle"
+        f.write_text("bottom +1 +2\npos 1\n")
+        code, out, _ = run(capsys, ["eval", str(f), "--precision", "16"])
+        assert code == EXIT_OK
+        assert "intertwiner with 6 nonzero columns" in out
 
     def test_parse_error_exit_2(self, capsys, tmp_path):
         f = tmp_path / "bad.tangle"

@@ -1,5 +1,6 @@
 """Sparse polynomials over Q and exact linear algebra."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,15 @@ def polys(draw, nvars=2, max_terms=5):
                      for _ in range(nvars))
         d[exps] = draw(st.fractions(min_value=-4, max_value=4, max_denominator=4))
     return Poly.make(nvars, d)
+
+
+def seeded_poly(rng: random.Random) -> Poly:
+    """Integer or rational coefficients, an integral Fraction among them."""
+    return Poly.make(2, {
+        (rng.randint(0, 3), rng.randint(0, 3)):
+            rng.choice((1, -1, 2, 3, Fraction(4, 2), Fraction(1, 2),
+                        Fraction(-3, 4)))
+        for _ in range(rng.randint(0, 5))})
 
 
 class TestPoly:
@@ -42,6 +52,23 @@ class TestPoly:
         if b.is_zero():
             return
         assert (a * b).divide_exact(b) == a
+
+    def test_no_float_after_arithmetic(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            a, b = seeded_poly(rng), seeded_poly(rng)
+            out = [a + b, a * b, a - b, a.scale(3), a.scale(Fraction(1, 2))]
+            if not b.is_zero():
+                out.append((a * b).divide_exact(b))
+                # a leading coefficient 3 makes most quotients non-integral,
+                # and a float third would not come back as 1/3
+                third = (a * b).divide_exact(b.scale(3))
+                assert third == a.scale(Fraction(1, 3))
+                out.append(third)
+            for p in out:
+                assert not any(isinstance(c, float) for _, c in p.terms)
+                assert all(type(c) is int or c.denominator != 1
+                           for _, c in p.terms)
 
     def test_inexact_division_raises(self):
         x = Poly.variable(0, 1)

@@ -4,10 +4,11 @@ import math
 
 import pytest
 
+from qtangle import exactla, grasscoh
 from qtangle.exactla import Poly
-from qtangle.grasscoh import (build_cohomology, epsilon_idempotent,
-                              nilhecke_check, partial_i, psi_op, r_poly, tau,
-                              wolffhardt_complex)
+from qtangle.grasscoh import (TensorSquare, build_cohomology,
+                              epsilon_idempotent, nilhecke_check, partial_i,
+                              psi_op, r_poly, tau, wolffhardt_complex)
 
 
 class TestCohomologyRing:
@@ -75,6 +76,39 @@ class TestResolution:
     def test_gr24_d_squared_zero_shallow(self):
         report = wolffhardt_complex(2, 4, -2).check_resolution()
         assert report["d_squared_zero"]
+
+
+class TestResolutionRanks:
+    # degree-0 homology, the graded dimensions of H*(Gr(k,n)); every degree
+    # below 0 is empty
+    HOMOLOGY = {
+        (2, 4, -6): {0: 1, 2: 1, 4: 2, 6: 1, 8: 1},
+        (3, 4, -6): {0: 1, 2: 1, 4: 1, 6: 1},
+        (2, 5, -3): {0: 1, 2: 1, 4: 2, 6: 2, 8: 2, 10: 1, 12: 1},
+    }
+
+    @pytest.mark.parametrize("k,n,hbound", list(HOMOLOGY))
+    def test_each_rank_is_computed_once(self, k, n, hbound, monkeypatch):
+        calls = []
+
+        def counting_rank(rows):
+            calls.append(len(rows))
+            return exactla.rank(rows)
+
+        monkeypatch.setattr(grasscoh, "rank", counting_rank)
+        cx = wolffhardt_complex(k, n, hbound)
+        report = cx.check_resolution()
+        hh = TensorSquare(cx.H)
+        qs = {h: {q for _, _, q in cx._chain_basis(h, hh)}
+              for h in range(hbound + 1, 1)}
+        # d_h in degree q: for cycles at h < 0 and boundaries at h + 1
+        pairs = {(h, q) for h in qs if h < 0 for q in qs[h]} | \
+            {(h - 1, q) for h in qs for q in qs[h]}
+        assert len(calls) == len(pairs)
+        assert report["homology"][0] == self.HOMOLOGY[k, n, hbound]
+        assert sorted(report["homology"]) == list(range(hbound + 1, 1))
+        assert not any(report["homology"][h] for h in range(hbound + 1, 0))
+        assert report["ok"]
 
 
 class TestNilHecke:

@@ -12,12 +12,12 @@ from qtangle.intertwiner import (Intertwiner, cap, crossing_neg,
                                   projection)
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
                                _apply_all, _apply_local, _basis_states,
-                               _binomials, _coloured_local, _element, _finish,
+                               _coloured_local, _element, _finish,
                                _index, _key, _make_local, _theta,
                                link_invariant, normalized_invariant,
                                phi_coloured, verify_invariance)
 from qtangle.packing import pack, width
-from qtangle.qseries import LaurentSeries, quantum_binomial, quantum_integer
+from qtangle.qseries import LaurentSeries, binomial_row, quantum_integer
 from qtangle.uqsl2 import ModuleElement, basis_indices, weight
 from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                             cable, parse, random_diagram, random_link,
@@ -159,7 +159,7 @@ class TestHighColours:
         assert {-d: c for d, c in w.support().items()} == v.support()
 
     def test_colour_seven_trefoil_is_fast(self):
-        for memo in (_coloured_local, _binomials, _theta):
+        for memo in (_coloured_local, binomial_row, _theta):
             memo.cache_clear()
         t0 = time.monotonic()
         val = link_invariant(parse(braid_closure([1, 1, 1], [7, 7])), 48)
@@ -211,14 +211,14 @@ class TestSizeGuard:
         # do not pass MAX_MAP_SIZE, and neither do two colour-12 crossings
         assert 1001 ** 2 <= MAX_STATE
         for text in (unknot(1000), braid_closure([1, 1], [12, 12])):
-            for memo in (_coloured_local, _binomials):
+            for memo in (_coloured_local, binomial_row):
                 memo.cache_clear()
             t0 = time.monotonic()
             with pytest.raises(DiagramTooLarge, match="over the limit"):
                 phi_coloured(parse(text), PREC)
             assert time.monotonic() - t0 < 1
             assert _coloured_local.cache_info().currsize == 0
-            assert _binomials.cache_info().currsize == 0
+            assert binomial_row.cache_info().currsize == 0
 
     def test_open_tangles_count_a_state_per_column(self):
         # 1001^2 columns of 1001^2 basis vectors each, refused at once; 1001
@@ -309,11 +309,6 @@ def local_entries(local) -> tuple:
 class TestClosedFormSliceMaps:
     """The closed-form slice maps equal the cabled oracle entry for entry,
     values and windows alike."""
-
-    def test_binomial_rows(self):
-        for n in range(15):
-            assert _binomials(n) == tuple(quantum_binomial(n, k)
-                                          for k in range(n + 1))
 
     @pytest.mark.parametrize("prec", [8, 24])
     @pytest.mark.parametrize("kind", ["pos", "neg"])

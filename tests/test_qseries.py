@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle.qseries import (BigradedPolynomial, LaurentSeries, _poly_divmod,
-                             bigraded_expand_homofunknot, convolve_into,
-                             product_window, quantum_binomial,
+from qtangle.qseries import (BigradedPolynomial, LaurentSeries,
+                             bigraded_expand_homofunknot, binomial_row,
+                             convolve_into, product_window, quantum_binomial,
                              quantum_factorial, quantum_integer)
 
 small_coeffs = st.lists(
@@ -152,6 +152,14 @@ class TestQuantumIntegers:
                     quantum_binomial(n - 1, k - 1).shift(k - n)
                 assert lhs.eq_upto(rhs)
 
+    def test_binomial_times_factorials_is_factorial(self):
+        # multiplication only: shares no code with binomial_row's recurrence
+        for n in range(21):
+            for k in range(n + 1):
+                lhs = quantum_binomial(n, k) * quantum_factorial(k) * \
+                    quantum_factorial(n - k)
+                assert lhs == quantum_factorial(n)
+
 
 class TestJson:
     @settings(max_examples=40, deadline=None)
@@ -220,40 +228,9 @@ class TestCoefficientTypes:
             {"min_deg": -1, "valid_to": None, "coeffs": ["3", "-1/2", "4/2"]})
         assert [type(c) for c in s.coeffs] == [int, Fraction, int]
 
-    def test_quantum_binomials_and_division(self):
-        for n in range(7):
-            for k in range(n + 1):
-                assert all_int(quantum_binomial(n, k))
-        q, r = _poly_divmod(LaurentSeries.make(0, [2, 4, 2]),
-                            LaurentSeries.make(0, [2, 2]))
-        assert q.coeffs == (1, 1) and all_int(q) and r.is_zero()
-        q, _ = _poly_divmod(LaurentSeries.make(0, [1, 1]),
-                            LaurentSeries.make(0, [2]))
-        assert q.coeffs == (Fraction(1, 2), Fraction(1, 2))
-
-    def test_poly_divmod_returns_the_true_remainder(self):
-        # 1 + q is not a multiple of 1 + q^2; this division used to loop
-        # forever, and every remainder came back zero
-        a = LaurentSeries.make(0, [1, 1])
-        b = LaurentSeries.make(0, [1, 0, 1])
-        q, r = _poly_divmod(a, b)
-        assert q.is_zero() and r == a
-        # exact, off degree 0
-        q, r = _poly_divmod(LaurentSeries.make(-3, [1, 2, 1]),
-                            LaurentSeries.make(2, [1, 1]))
-        assert q == LaurentSeries.make(-5, [1, 1]) and r.is_zero()
-
-    @settings(max_examples=60, deadline=None)
-    @given(laurent(polynomial_only=True), laurent(polynomial_only=True))
-    def test_poly_divmod_identity(self, a, b):
-        if b.is_zero():
-            return
-        q, r = _poly_divmod(a, b)
-        assert q * b + r == a
-        if not r.is_zero():
-            assert r.min_deg >= a.min_deg
-            assert r.top_deg() - a.min_deg < len(b.coeffs) - 1
-        assert _poly_divmod(a * b, b) == (a, LaurentSeries.zero())
+    def test_quantum_binomials_are_ints(self):
+        for n in range(21):
+            assert all(all_int(c) for c in binomial_row(n))
 
     def test_no_float_after_arithmetic(self):
         rng = random.Random(5)
