@@ -4,7 +4,9 @@ Exit codes: 0 success, 1 verification failure, 2 tangle parse error,
 3 validation error, 64 unknown flags or bad usage.  Output is deterministic
 for identical argv and seed; ``--json`` switches every subcommand to a
 machine-readable summary.  The QTANGLE_PRECISION environment variable
-overrides the default precision, qseries.DEFAULT_PRECISION (64).
+overrides the default precision, qseries.DEFAULT_PRECISION (64).  A closed
+link evaluates exactly whatever the precision; it sets the windows of open
+tangles' entries and of the Jones-Wenzl projectors the checks build.
 """
 
 from __future__ import annotations
@@ -424,9 +426,11 @@ def _cmd_gor(args) -> int:
 
 def _add_precision(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=_default_precision(),
-                   help=f"stored series coefficients (default "
-                        f"{DEFAULT_PRECISION}, min {MIN_PRECISION}, "
-                        f"max {MAX_PRECISION}; "
+                   help=f"coefficients kept of a series that is not a "
+                        f"Laurent polynomial: an open tangle's entry or a "
+                        f"projector's; a closed link is exact at any "
+                        f"precision (default {DEFAULT_PRECISION}, min "
+                        f"{MIN_PRECISION}, max {MAX_PRECISION}; "
                         f"override default via {PRECISION_ENV})")
 
 

@@ -186,7 +186,7 @@ class Span:
         if not r:
             return False
         p = min(r)
-        inv = 1 / Fraction(r[p])
+        inv = _coef(1 / Fraction(r[p]))
         new = self.rows[p] = {k: c * inv for k, c in r.items()}
         # keep older rows reduced against the new pivot
         for row in self.rows.values():

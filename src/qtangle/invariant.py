@@ -1,27 +1,34 @@
 """Evaluation of tangle diagrams to intertwiners and the invariance harness.
 
-phi_coloured evaluates a coloured diagram slice by slice.  It keeps the
-state in the tensor product of the coloured modules V_m and applies one
-local map per slice, on just the strands the slice touches.  Each map is
-written in closed form by _coloured_local and cached per (kind, colours,
-precision): a crossing of V_a and V_b from the quasi-R-matrix
-Theta = sum_n theta_n E^(n) (x) F^(n) and the weight factor (Kirby-Melvin,
-Invent. Math. 105, 1991; Lusztig, Introduction to Quantum Groups, 1993), a
-cap and a cup from quantum binomials.  Crossings and caps are exact; a cup
-of colour m >= 2 carries inverted binomials with a validity window.  The
-maps equal the cabled slices between Jones-Wenzl inclusions and
-projections, but nothing here cables.  The framing normalization multiplies
-by q^{3 gamma}, where gamma, from tangle.writhe_gamma, is the oriented
-crossing count of the cabling.
+phi_coloured evaluates a coloured diagram slice by slice, in one exact pass.
+It keeps the state in the tensor product of the coloured modules V_m, in
+Lusztig's integral form (G. Lusztig, Introduction to Quantum Groups, 1993):
+the basis v_k on a strand that points up and w_k = v_k / [m, k] on one that
+points down.  It applies one local map per slice, on just the strands the
+slice touches.  Each map is written in closed form by _coloured_local and
+cached per (kind, colours, orientations): a crossing of V_a and V_b from the
+quasi-R-matrix Theta = sum_n theta_n E^(n) (x) F^(n) and the weight factor
+(Kirby-Melvin, Invent. Math. 105, 1991), a cap and a cup as signed
+monomials.  Every entry of every map is an integer Laurent polynomial, so a
+closed link evaluates to an exact Laurent polynomial at any precision.  The
+maps are the cabled slices between Jones-Wenzl inclusions and projections,
+rescaled to the integral basis, but nothing here cables.
+
+An open tangle's source vector v_k enters as [m, k] w_k on a down point, and
+each entry on down target points is divided back at the end: exactly when
+the quotient is a Laurent polynomial, else expanded once to ``precision``
+coefficients, the one place a window is made.  The framing normalization
+multiplies by q^{3 gamma}, where gamma, from tangle.writhe_gamma, is the
+oriented crossing count of the cabling.
 phi_coloured refuses, before any work, a diagram whose slice states, one
 per source basis vector, would hold more than MAX_STATE entries or whose
 closed-form maps would pass MAX_MAP_SIZE.
 
 Every column under evaluation is a _State: per basis index, keyed by a
 mixed-radix int, the entry's integer coefficients packed into one int
-(packing), and the windows of the windowed entries.  _apply_local maps one
-state to the next with one big-int multiply per product and builds no
-series; the columns become series once, when the finished map is made.
+(packing).  _apply_local maps one state to the next with one big-int
+multiply per product and builds no series; the columns become series once,
+when the finished map is made.
 """
 
 from __future__ import annotations
@@ -31,7 +38,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
 
-from .packing import WORD, cut, low_digit, pack, unpack, width
+from .packing import low_digit, pack, unpack, width
 from .qseries import DEFAULT_PRECISION, LaurentSeries, binomial_row
 from .uqsl2 import ModuleElement, basis_indices
 from .intertwiner import Intertwiner
@@ -66,15 +73,13 @@ class _State(NamedTuple):
     A basis index is keyed by its mixed-radix int, the leftmost strand most
     significant with radix m + 1, so keys sort as the index tuples do.
     ``coords`` maps the key of each nonzero entry to the entry packed with
-    digits of ``bits`` bits, digit j the coefficient of q^(base + j);
-    ``valid`` holds the windows of the windowed entries, none of which has
-    a digit above its window.  No coefficient exceeds ``bound`` in absolute
-    value, and ``bound`` is below 2^(bits-1).
+    digits of ``bits`` bits, digit j the coefficient of q^(base + j).  No
+    coefficient exceeds ``bound`` in absolute value, and ``bound`` is below
+    2^(bits-1).
     """
 
     colours: tuple[int, ...]
     coords: dict
-    valid: dict
     base: int
     bits: int
     bound: int
@@ -86,12 +91,12 @@ class _Local(NamedTuple):
     ``source`` and ``target`` are the colours of the strands it takes and
     leaves, ``rs`` and ``rt`` their numbers of basis vectors.  ``columns``
     maps each source slot, keyed like a state, to the terms (target slot,
-    coefficients from the lowest degree up, lowest degree, window) of its
-    image.  ``m0`` is the lowest degree of any term, and ``norm`` the
-    largest row L1 norm: the sum of |coefficient| over all terms into one
-    target slot, so no image coefficient exceeds ``norm`` times the largest
-    input coefficient, nor does any partial sum of it.  ``packed`` caches
-    the columns as _apply_local reads them.
+    coefficients from the lowest degree up, lowest degree) of its image.
+    ``m0`` is the lowest degree of any term, and ``norm`` the largest row L1
+    norm: the sum of |coefficient| over all terms into one target slot, so
+    no image coefficient exceeds ``norm`` times the largest input
+    coefficient, nor does any partial sum of it.  ``packed`` caches the
+    columns as _apply_local reads them.
     """
 
     source: tuple[int, ...]
@@ -101,7 +106,6 @@ class _Local(NamedTuple):
     columns: dict
     m0: int
     norm: int
-    windowed: bool
     packed: dict
 
     def terms(self, bits: int, right: int) -> dict:
@@ -112,7 +116,7 @@ class _Local(NamedTuple):
         if got is None:
             got = self.packed[bits, right] = {
                 s: tuple((t * right, pack(cs, bits) << bits * (lo - self.m0))
-                         for t, cs, lo, _ in img)
+                         for t, cs, lo in img)
                 for s, img in self.columns.items()}
         return got
 
@@ -149,32 +153,33 @@ def _index(key: int, colours: tuple[int, ...]) -> tuple[int, ...]:
 def _make_local(source: tuple[int, ...], target: tuple[int, ...],
                 columns) -> _Local:
     """The _Local of the map sending source index idx to the sum of c v_jdx
-    over the (jdx, c) of columns[idx], for nonzero integral series c."""
+    over the (jdx, c) of columns[idx], for nonzero exact integral series c.
+    A windowed series raises ValueError: a local map is exact."""
     cols, rows = {}, {}
     for idx, img in columns:
         terms = []
         for jdx, c in img:
+            if c.valid_to is not None:
+                raise ValueError(f"local map entry {c} is not exact")
             t = _key(jdx, target)
-            terms.append((t, c.coeffs, c.min_deg, c.valid_to))
+            terms.append((t, c.coeffs, c.min_deg))
             rows[t] = rows.get(t, 0) + sum(map(abs, c.coeffs))
         cols[_key(idx, source)] = tuple(terms)
-    terms = [term for img in cols.values() for term in img]
     return _Local(source, target, _radix(source), _radix(target), cols,
-                  min((lo for _, _, lo, _ in terms), default=0),
-                  max(rows.values(), default=0),
-                  any(v is not None for _, _, _, v in terms), {})
+                  min((lo for img in cols.values() for _, _, lo in img),
+                      default=0),
+                  max(rows.values(), default=0), {})
 
 
 def _element(x: _State) -> ModuleElement:
-    # every entry of a state is nonzero and cut to its window, and its keys
-    # come from a valid state and valid local maps, so ModuleElement.make
-    # has nothing to check
-    bits, base, valid, colours = x.bits, x.base, x.valid, x.colours
+    # every entry of a state is nonzero, and its keys come from a valid
+    # state and valid local maps, so ModuleElement.make has nothing to check
+    bits, base, colours = x.bits, x.base, x.colours
     coords = []
     for key, p in sorted(x.coords.items()):
         j = low_digit(p, bits)
         coords.append((_index(key, colours), LaurentSeries(
-            base + j, tuple(unpack(p >> bits * j, bits)), valid.get(key))))
+            base + j, tuple(unpack(p >> bits * j, bits)))))
     return ModuleElement(colours, tuple(coords))
 
 
@@ -198,39 +203,18 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
     full-width matrix, which keeps wide diagrams tractable.  Each product is
     one multiply of packed ints, so the image is based at x.base + mid.m0;
     its coefficients are within x.bound * mid.norm, and the state is
-    repacked first if that needs wider digits.  A product's window uses the
-    entry's lowest nonzero degree; an output entry takes the smallest window
-    of its products, is cut there, and is dropped when nothing nonzero is
-    left.  Exact entries do no window work.
+    repacked first if that needs wider digits.  An entry that cancels is
+    dropped.
     """
     colours = x.colours
     k = len(mid.source)
-    tgt = colours[:i - 1] + mid.target + colours[i - 1 + k:]
     if (x.bound * mid.norm) >> (x.bits - 1):
         x = _repack(x, mid.norm)
-    bits = x.bits
     right = _right(colours, i - 1 + k)
     srad, trad = mid.rs * right, mid.rt * right
-    cols = mid.terms(bits, right)
-    base = x.base + mid.m0
+    cols = mid.terms(x.bits, right)
     acc: dict[int, int] = {}
     get = acc.get
-    if not (x.valid or mid.windowed):
-        for key, p in x.coords.items():
-            hi, rest = divmod(key, srad)
-            s, low = divmod(rest, right)
-            img = cols.get(s)
-            if img is None:
-                continue
-            off = hi * trad + low
-            for t, tp in img:
-                t += off
-                acc[t] = get(t, 0) + p * tp
-        if 0 in acc.values():
-            acc = {key: p for key, p in acc.items() if p}
-        return _State(tgt, acc, {}, base, bits, x.bound * mid.norm)
-    valid = x.valid
-    windows: dict[int, int] = {}
     for key, p in x.coords.items():
         hi, rest = divmod(key, srad)
         s, low = divmod(rest, right)
@@ -238,35 +222,39 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
         if img is None:
             continue
         off = hi * trad + low
-        vp = valid.get(key)
-        lo = x.base + low_digit(p, bits)
-        for (t, tp), (_, _, lo2, v2) in zip(img, mid.columns[s]):
+        for t, tp in img:
             t += off
             acc[t] = get(t, 0) + p * tp
-            # the window of the product: each factor's window shifted by
-            # the other's lowest degree
-            if vp is None:
-                if v2 is None:
-                    continue
-                v = v2 + lo
-            elif v2 is None:
-                v = vp + lo2
-            else:
-                v = min(vp + lo2, v2 + lo)
-            w = windows.get(t)
-            if w is None or v < w:
-                windows[t] = v
-    for key, v in windows.items():
-        acc[key] = cut(acc[key], v - base + 1, bits)
-    coords = {key: p for key, p in acc.items() if p}
-    return _State(tgt, coords,
-                  {key: v for key, v in windows.items() if key in coords},
-                  base, bits, x.bound * mid.norm)
+    if 0 in acc.values():
+        acc = {key: p for key, p in acc.items() if p}
+    return _State(colours[:i - 1] + mid.target + colours[i - 1 + k:], acc,
+                  x.base + mid.m0, x.bits, x.bound * mid.norm)
 
 
-def _basis_states(colours: tuple[int, ...]) -> dict:
-    return {idx: _State(colours, {_key(idx, colours): 1}, {}, 0, WORD, 1)
-            for idx in basis_indices(colours)}
+@lru_cache(maxsize=None)
+def _lattice(points: tuple[BoundaryPoint, ...],
+             idx: tuple[int, ...]) -> LaurentSeries:
+    """The product of [m, k] over the points of colour m that point down,
+    k their index: v_idx = _lattice(points, idx) w_idx."""
+    c = LaurentSeries.one()
+    for p, k in zip(points, idx):
+        if not p.up and p.colour > 1:
+            c = c * binomial_row(p.colour)[k]
+    return c
+
+
+def _basis_states(points: tuple[BoundaryPoint, ...]) -> dict:
+    """The basis vectors v_idx of the points' tensor product as states in
+    the integral basis."""
+    colours = tuple(p.colour for p in points)
+    out = {}
+    for idx in basis_indices(colours):
+        c = _lattice(points, idx)
+        bound = max(map(abs, c.coeffs))
+        bits = width(bound)
+        out[idx] = _State(colours, {_key(idx, colours): pack(c.coeffs, bits)},
+                          c.min_deg, bits, bound)
+    return out
 
 
 def _apply_all(local: _Local, i: int, columns: dict) -> dict:
@@ -274,11 +262,38 @@ def _apply_all(local: _Local, i: int, columns: dict) -> dict:
     return {idx: _apply_local(local, i, v) for idx, v in columns.items()}
 
 
-def _finish(src: tuple[int, ...], tgt: tuple[int, ...],
-            columns: dict) -> Intertwiner:
-    """The map whose columns are these states, in series form."""
-    return Intertwiner.make(src, tgt, {idx: _element(v)
-                                       for idx, v in columns.items()})
+def _divide(c: LaurentSeries, d: LaurentSeries,
+            precision: int) -> LaurentSeries:
+    """c / d for integral c and d, d's lowest coefficient 1: exact when d
+    divides c, else expanded to ``precision`` coefficients.  Long division
+    from the lowest degree up divides no coefficient."""
+    r = list(c.coeffs)
+    n = len(r) - len(d.coeffs) + 1
+    tail = [(j, b) for j, b in enumerate(d.coeffs) if j and b]
+    for i in range(n):
+        a = r[i]
+        if a:
+            for j, b in tail:
+                r[i + j] -= a * b
+    if n > 0 and not any(r[n:]):
+        return LaurentSeries(c.min_deg - d.min_deg, tuple(r[:n]))
+    return c * d.invert(precision)
+
+
+def _finish(src: tuple[int, ...], top: tuple[BoundaryPoint, ...],
+            columns: dict, precision: int) -> Intertwiner:
+    """The map whose columns are these states, in series form and in the
+    basis v: each entry divided by the _lattice of its target index."""
+    tgt = tuple(p.colour for p in top)
+    out = {}
+    for idx, x in columns.items():
+        coords = []
+        for jdx, c in _element(x).coords:
+            d = _lattice(top, jdx)
+            coords.append((jdx, c if d.coeffs == (1,)
+                           else _divide(c, d, precision)))
+        out[idx] = ModuleElement(tgt, tuple(coords))
+    return Intertwiner.make(src, tgt, out)
 
 
 @lru_cache(maxsize=None)
@@ -291,43 +306,46 @@ def _theta(n: int) -> LaurentSeries:
 
 
 @lru_cache(maxsize=None)
-def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
-    """The local map of one coloured slice, in closed form.
+def _coloured_local(kind: str, colours: tuple[int, ...],
+                    down: tuple[bool, ...] = ()) -> _Local:
+    """The local map of one coloured slice in the integral basis, in closed
+    form.
 
     ``colours`` is the cup's colour, or the colours (a, b) of the two points
-    a cap or crossing joins.  With w_i = 2i - a on V_a, w_j = 2j - b on V_b,
-    theta_n as in _theta and its bar image thetabar_n (q -> q^-1):
+    a cap or crossing joins, and ``down`` says which of a crossing's two
+    points point down.  Write x_i for the basis vector of V_a and y_j for
+    that of V_b: v on a strand that points up, w on one that points down.
+    With mu_i = 2i - a, nu_j = 2j - b and theta_n as in _theta, thetabar_n
+    its bar image (q -> q^-1):
 
-      pos  v_i (x) v_j -> (-1)^(ab) sum_(n <= min(a-i, j)) theta_n [i+n, n]
-           [b-j+n, n] q^((-3ab - w_(i+n) w_(j-n))/2) v_(j-n) (x) v_(i+n)
-      neg  v_i (x) v_j -> (-1)^(ab) q^((3ab + w_i w_j)/2) sum_(n <= min(b-j, i))
-           thetabar_n [j+n, n] [a-i+n, n] v_(j+n) (x) v_(i-n)
-      cap  v_k (x) v_(m-k) -> (-1)^k q^(-k(k-m+1)) [m, k]
-      cup  1 -> sum_j (-1)^j q^(j(j-m+1)) [m, j]^-1 v_(m-j) (x) v_j
+      pos  x_i (x) y_j -> (-1)^(ab) sum_(n <= min(a-i, j)) theta_n A_n B_n
+           q^((-3ab - mu_(i+n) nu_(j-n))/2) y_(j-n) (x) x_(i+n)
+      neg  x_i (x) y_j -> (-1)^(ab) q^((3ab + mu_i nu_j)/2)
+           sum_(n <= min(b-j, i)) thetabar_n B_n A_n y_(j+n) (x) x_(i-n)
+      cap  x_k (x) y_(m-k) -> (-1)^k q^(-k(k-m+1))
+      cup  1 -> sum_j (-1)^j q^(j(j-m+1)) x_(m-j) (x) y_j
 
-    This is the cabled slice between the Jones-Wenzl inclusions iota and
-    projections pi, entry for entry, windows included; orientation enters
-    only the writhe.  Crossings and caps are exact.  A cup of colour m >= 2
-    takes every inverse to ``prec`` terms, the window of the projection on
-    its left strand, so entry j is valid to degree j + prec - 1; a colour-1
-    cup is exact.
+    where, for pos, A_n = [i+n, n] and B_n = [b-j+n, n] on up strands, and
+    A_n = [a-i, n] and B_n = [j, n] on down ones; for neg, B_n = [j+n, n] and
+    A_n = [a-i+n, n] up, and B_n = [b-j, n] and A_n = [i, n] down.  In the
+    basis v alone these are the cabled slices between the Jones-Wenzl
+    inclusions iota and projections pi: there a cap's entry carries [m, k]
+    and a cup's entry 1/[m, j], which the down end of each absorbs, and
+    [m, k+n] [k+n, n] = [m, k] [m-k, n] turns the binomial of a crossing's
+    down strand.  Every entry is exact.
     """
     if kind == "cup":
         m, = colours
-        terms = []
-        for j in range(m + 1):
-            c = binomial_row(m)[j]
-            if m > 1:
-                c = c.invert(prec)
-            terms.append(((m - j, j),
-                          c.shift(j * (j - m + 1)).scale((-1) ** j)))
-        return _make_local((), (m, m), [((), terms)])
+        return _make_local((), (m, m), [((), [
+            ((m - j, j), LaurentSeries.monomial(j * (j - m + 1), (-1) ** j))
+            for j in range(m + 1)])])
     a, b = colours
     if kind == "cap":
         return _make_local((a, b), (), [
-            ((k, a - k), [((), binomial_row(a)[k].shift(-k * (k - a + 1))
-                           .scale((-1) ** k))])
+            ((k, a - k), [((), LaurentSeries.monomial(-k * (k - a + 1),
+                                                      (-1) ** k))])
             for k in range(a + 1)])
+    da, db = down
     sign = (-1) ** (a * b)
     columns = []
     for i in range(a + 1):
@@ -335,15 +353,17 @@ def _coloured_local(kind: str, colours: tuple[int, ...], prec: int) -> _Local:
             terms = []
             if kind == "pos":
                 for n in range(min(a - i, j) + 1):
-                    c = _theta(n) * binomial_row(i + n)[n] * \
-                        binomial_row(b - j + n)[n]
+                    c = _theta(n) * \
+                        binomial_row(a - i if da else i + n)[n] * \
+                        binomial_row(j if db else b - j + n)[n]
                     e = (-3 * a * b - (2 * (i + n) - a) * (2 * (j - n) - b)) // 2
                     terms.append(((j - n, i + n), c.shift(e).scale(sign)))
             else:
                 e = (3 * a * b + (2 * i - a) * (2 * j - b)) // 2
                 for n in range(min(b - j, i) + 1):
-                    c = _theta(n).bar() * binomial_row(j + n)[n] * \
-                        binomial_row(a - i + n)[n]
+                    c = _theta(n).bar() * \
+                        binomial_row(b - j if db else j + n)[n] * \
+                        binomial_row(i if da else a - i + n)[n]
                     terms.append(((j + n, i - n), c.shift(e).scale(sign)))
             columns.append(((i, j), terms))
     return _make_local((a, b), (b, a), columns)
@@ -361,17 +381,25 @@ MAX_STATE = 2 ** 20
 # the most closed-form map phi_coloured builds, summed over the distinct
 # slice maps of a diagram: each map's terms times a bound on a term's degree
 # span, (a+1)(b+1)(min(a,b)+1)(ab+1) for a crossing of colours a and b and
-# (m+1)(m^2/4+1) for a cup or cap of colour m.  A map at the limit, a
-# crossing of colour 11 or a cap of colour 100, takes about a second to
-# build.
+# (m+1)(m^2/4+1) for a cup or cap of colour m.  A boundary point of colour m
+# that points down counts as a cap of colour m, for the binomial row its
+# basis change reads.  A map at the limit, a crossing of colour 11 or a cap
+# of colour 100, takes about a second to build.
 MAX_MAP_SIZE = 2 ** 18
 
 
-def _touched(s: Slice, state: list[BoundaryPoint]) -> tuple[int, ...]:
-    """The colours _coloured_local takes for slice s above this state."""
+def _slice_key(s: Slice, state: list[BoundaryPoint]) -> tuple:
+    """The arguments _coloured_local takes for slice s above this state.
+
+    [1, k] = 1, so a strand of colour 1 counts as up and its orientation
+    makes no second map."""
     if s.kind == "cup":
-        return (s.colour,)
-    return tuple(p.colour for p in state[s.pos - 1:s.pos + 1])
+        return "cup", (s.colour,), ()
+    points = state[s.pos - 1:s.pos + 1]
+    colours = tuple(p.colour for p in points)
+    if s.kind == "cap":
+        return "cap", colours, ()
+    return s.kind, colours, tuple(not p.up and p.colour > 1 for p in points)
 
 
 def _map_size(kind: str, colours: tuple[int, ...]) -> int:
@@ -389,71 +417,39 @@ def _check_size(d: ColouredDiagram, states: list) -> None:
         raise DiagramTooLarge(
             f"{columns} slice states of up to {size} basis vectors "
             f"are over the limit of {MAX_STATE}")
-    maps = {(s.kind, _touched(s, state)) for s, state in zip(d.slices, states)}
-    size = sum(_map_size(kind, colours) for kind, colours in maps)
+    maps = {_slice_key(s, state) for s, state in zip(d.slices, states)}
+    maps |= {("cap", (p.colour, p.colour), ())
+             for p in (*d.bottom, *states[-1]) if not p.up}
+    size = sum(_map_size(kind, colours) for kind, colours, _ in maps)
     if size > MAX_MAP_SIZE:
         raise DiagramTooLarge(
             f"slice maps of about {size} coefficients "
             f"are over the limit of {MAX_MAP_SIZE}")
 
 
-def _shift_budget(d: ColouredDiagram, states: list) -> int:
-    # worst-case window loss across all the q-power multiplications, two per
-    # cabled slice; the actual loss is usually near zero because raises and
-    # lowers cancel
-    cabled = 0
-    for s, state in zip(d.slices, states):
-        if s.kind == "cup":
-            cabled += s.colour
-        elif s.kind == "cap":
-            cabled += state[s.pos - 1].colour
-        else:
-            cabled += state[s.pos - 1].colour * state[s.pos].colour
-    return 2 * cabled + 2 * sum(p.colour for p in d.bottom) + 8
-
-
-def _achieved_window(out: Intertwiner, precision: int) -> bool:
-    """Every truncated entry still carries at least `precision` coefficients."""
-    for _, img in out.columns:
-        for _, series in img.coords:
-            if series.valid_to is None or series.is_zero():
-                continue
-            if series.valid_to - series.min_deg + 1 < precision:
-                return False
-    return True
-
-
 def phi_coloured(d: ColouredDiagram,
                  precision: int = DEFAULT_PRECISION) -> Intertwiner:
-    """The intertwiner of a coloured diagram.
+    """The intertwiner of a coloured diagram, in one exact pass.
 
-    A diagram whose slice states, one per source basis vector, could hold
-    more than MAX_STATE entries, or whose slice maps are over MAX_MAP_SIZE,
-    is refused with DiagramTooLarge before any work.  The internal precision
-    starts slightly above the requested one and is escalated (up to the
-    worst-case shift budget of the diagram) whenever the computed entries
-    come back with too narrow a validity window.
+    A closed link's value is exact.  An open tangle's entry is exact when
+    it is a Laurent polynomial, and is otherwise expanded to ``precision``
+    coefficients.  A diagram whose slice states, one per source basis
+    vector, could hold more than MAX_STATE entries, or whose slice maps are
+    over MAX_MAP_SIZE, is refused with DiagramTooLarge before any work.
     """
     states = boundary_states(d)
     _check_size(d, states)
-    cap = _shift_budget(d, states)
-    budgets = sorted({min(8, cap), min(32, cap), cap})
-    for i, budget in enumerate(budgets):
-        out = _phi_coloured_once(d, states, precision + budget)
-        if i == len(budgets) - 1 or _achieved_window(out, precision):
-            return out
-    raise AssertionError("unreachable")
+    return _phi_coloured_once(d, states, precision)
 
 
 def _phi_coloured_once(d: ColouredDiagram, states: list,
-                       prec: int) -> Intertwiner:
-    src = tuple(p.colour for p in d.bottom)
-    tgt = tuple(p.colour for p in states[-1])
-    columns = _basis_states(src)
+                       precision: int) -> Intertwiner:
+    columns = _basis_states(d.bottom)
     for s, state in zip(d.slices, states):
-        columns = _apply_all(_coloured_local(s.kind, _touched(s, state), prec),
-                             s.pos, columns)
-    return _finish(src, tgt, columns)
+        columns = _apply_all(_coloured_local(*_slice_key(s, state)), s.pos,
+                             columns)
+    return _finish(tuple(p.colour for p in d.bottom), tuple(states[-1]),
+                   columns, precision)
 
 
 def normalized_invariant(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,

@@ -12,15 +12,16 @@ polynomials is likewise the packed sum.
 
 ``width`` is the rule that keeps the digits apart: given a bound on every
 coefficient a computation can produce, it returns a digit width with room
-for it.  ``cut`` keeps the digits of a window, ``low_digit`` finds the
-lowest nonzero one, and ``pack`` and ``unpack`` convert to and from lists.
+for it.  ``low_digit`` finds the lowest nonzero digit, and ``pack`` and
+``unpack`` convert to and from lists.  The evaluator's slice maps are
+exact, so nothing here truncates.
 """
 
 from __future__ import annotations
 
 import struct
 
-__all__ = ["WORD", "width", "pack", "unpack", "cut", "low_digit"]
+__all__ = ["WORD", "width", "pack", "unpack", "low_digit"]
 
 # digit widths are multiples of one machine word
 WORD = 64
@@ -37,7 +38,14 @@ def pack(coeffs, bits: int) -> int:
     """The integers c_0, c_1, ... as one int with digits of ``bits`` bits.
 
     A coefficient that is not an int, such as a Fraction, raises TypeError.
+    Long lists pack in halves, so that no shift moves more than half of
+    the result at a time: one digit at a time would take time quadratic in
+    the length.
     """
+    if len(coeffs) > 32:
+        half = len(coeffs) // 2
+        return pack(coeffs[:half], bits) + \
+            (pack(coeffs[half:], bits) << bits * half)
     p = 0
     for c in reversed(coeffs):
         if type(c) is not int:
@@ -68,20 +76,6 @@ def unpack(p: int, bits: int) -> list[int]:
     while not cs[-1]:
         cs.pop()
     return cs
-
-
-def cut(p: int, n: int, bits: int) -> int:
-    """p with only its lowest n digits kept (0 when n <= 0).
-
-    The low digits of p sum to a value L with |L| < H = 2^(bits n - 1);
-    the rest of p is a multiple of 2^(bits n), so L + H is p + H modulo
-    2^(bits n).
-    """
-    if n <= 0:
-        return 0
-    w = bits * n
-    h = 1 << (w - 1)
-    return ((p + h) & ((1 << w) - 1)) - h
 
 
 def low_digit(p: int, bits: int) -> int:

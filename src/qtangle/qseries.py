@@ -178,6 +178,8 @@ class LaurentSeries:
         else:
             v = min(self.valid_to - 2 * m, -m + precision - 1)
         n_terms = v + m + 1  # coefficients of the unit part to produce
+        if n_terms <= 0:
+            return LaurentSeries.zero(v)
         a = self.coeffs
         # an int when the leading coefficient is +-1
         inv0 = _coef(Fraction(1, a[0]))

@@ -72,7 +72,8 @@ class ModuleElement:
             idx = tuple(idx)
             if len(idx) != len(colours) or any(not 0 <= a <= d for a, d in zip(idx, colours)):
                 raise ValueError(f"index {idx} invalid for colours {colours}")
-            if not c.is_zero():
+            # a series that is zero on its window keeps the window
+            if c.coeffs or c.valid_to is not None:
                 clean.append((idx, c))
         clean.sort(key=lambda t: t[0])
         return ModuleElement(colours, tuple(clean))

@@ -150,6 +150,13 @@ class TestLinearAlgebra:
         assert sp.contains({1: Fraction(5)}) and not sp.contains({3: 1})
         assert sp.reduce({1: Fraction(1), 3: Fraction(4)}) == {3: 4}
 
+    def test_integral_rows_with_unit_pivots_stay_ints(self):
+        # pivots -1 and 1: every reduced row is integral, and kept as ints
+        sp = Span([{0: -1, 1: 2, 2: 3}, {1: 1, 2: -4}])
+        assert sp.rows == {0: {0: 1, 2: -11}, 1: {1: 1, 2: -4}}
+        assert all(type(c) is int for row in sp.rows.values()
+                   for c in row.values())
+
 
 entries = st.one_of(st.just(Fraction(0)),
                     st.fractions(min_value=-3, max_value=3, max_denominator=3))

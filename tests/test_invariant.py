@@ -12,13 +12,13 @@ from qtangle.intertwiner import (Intertwiner, cap, crossing_neg,
                                   projection)
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
                                _apply_all, _apply_local, _basis_states,
-                               _coloured_local, _element, _finish,
+                               _coloured_local, _divide, _element, _finish,
                                _index, _key, _make_local, _theta,
                                link_invariant, normalized_invariant,
                                phi_coloured, verify_invariance)
 from qtangle.packing import pack, width
 from qtangle.qseries import LaurentSeries, binomial_row, quantum_integer
-from qtangle.uqsl2 import ModuleElement, basis_indices, weight
+from qtangle.uqsl2 import ModuleElement, basis_indices, seq_stats, weight
 from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                             cable, parse, random_diagram, random_link,
                             validate)
@@ -56,13 +56,13 @@ def to_state(x: ModuleElement) -> _State:
     base = min((c.min_deg for _, c in x.coords), default=0)
     bound = max((abs(a) for _, c in x.coords for a in c.coeffs), default=0)
     bits = width(bound)
-    coords, valid = {}, {}
-    for idx, c in x.coords:
-        key = _key(idx, x.colours)
-        coords[key] = pack(c.coeffs, bits) << bits * (c.min_deg - base)
-        if c.valid_to is not None:
-            valid[key] = c.valid_to
-    return _State(x.colours, coords, valid, base, bits, bound)
+    return _State(x.colours, {
+        _key(idx, x.colours): pack(c.coeffs, bits) << bits * (c.min_deg - base)
+        for idx, c in x.coords}, base, bits, bound)
+
+
+def up(colours) -> tuple[BoundaryPoint, ...]:
+    return tuple(BoundaryPoint(m, True) for m in colours)
 
 
 class TestPhi:
@@ -134,7 +134,7 @@ def braid_closure(word: list[int], colours: list[int]) -> str:
 
 class TestHighColours:
     """High colours against closed forms and symmetries that need no
-    evaluator: windows must cover each value whole."""
+    evaluator: each value comes back exact."""
 
     @pytest.mark.parametrize("a", range(1, 7))
     def test_hopf_links(self, a):
@@ -144,19 +144,16 @@ class TestHighColours:
             for word, sign in (([1, 1], 1), ([-1, -1], -1)):
                 want = quantum_integer((a + 1) * (b + 1)).shift(
                     3 * a * b * sign).scale((-1) ** (a + b))
-                val = link_invariant(parse(braid_closure(word, [a, b])), 100)
-                assert val.valid_to is None or \
-                    val.valid_to >= want.top_deg(), (a, b, sign)
-                assert val.eq_upto(want), (a, b, sign)
+                val = link_invariant(parse(braid_closure(word, [a, b])), 16)
+                assert val.valid_to is None and val == want, (a, b, sign)
 
     @pytest.mark.parametrize("m", range(4, 8))
     def test_trefoil_mirror_symmetry(self, m):
-        # V(mirror D)(q) = V(D)(q^-1), each window reaching the top of the
-        # other's reflection
-        v = link_invariant(parse(braid_closure([1, 1, 1], [m, m])), 200)
-        w = link_invariant(parse(braid_closure([-1, -1, -1], [m, m])), 200)
-        assert v.valid_to >= -w.min_deg and w.valid_to >= -v.min_deg
-        assert {-d: c for d, c in w.support().items()} == v.support()
+        # V(mirror D)(q) = V(D)(q^-1)
+        v = link_invariant(parse(braid_closure([1, 1, 1], [m, m])), 16)
+        w = link_invariant(parse(braid_closure([-1, -1, -1], [m, m])), 16)
+        assert v.valid_to is None and w.valid_to is None
+        assert w.bar() == v
 
     def test_colour_seven_trefoil_is_fast(self):
         for memo in (_coloured_local, binomial_row, _theta):
@@ -231,6 +228,17 @@ class TestSizeGuard:
         value = phi_coloured(parse("bottom +1000\n"), PREC)
         assert value.eq_upto(Intertwiner.identity((1000,)))
 
+    def test_down_boundary_points_count_as_caps(self):
+        # the basis change at a colour-m point that points down reads the
+        # binomial row of m, counted as a cap of colour m; an up point reads
+        # none
+        binomial_row.cache_clear()
+        with pytest.raises(DiagramTooLarge, match="over the limit"):
+            phi_coloured(parse("bottom -110\n"), PREC)
+        assert binomial_row.cache_info().currsize == 0
+        value = phi_coloured(parse("bottom +110\n"), PREC)
+        assert value.eq_upto(Intertwiner.identity((110,)))
+
     def test_tier_one_colours_are_under_the_map_limit(self):
         # the colour-7 trefoil, the largest map tier-1 evaluates, and the
         # colour-11 Hopf link, the largest crossing at the limit
@@ -258,14 +266,17 @@ def readout(m: int) -> Intertwiner:
 @lru_cache(maxsize=None)
 def cabled_map(kind: str, colours: tuple[int, ...], prec: int) -> Intertwiner:
     """The oracle for the closed-form slice maps: pi o cable(slice) o iota
-    for one coloured slice, built from colour-1 cups, caps and crossings.
+    for one coloured slice in the basis v, built from colour-1 cups, caps
+    and crossings.
 
     ``colours`` is the cup's colour, or the colours of the two points a cap
     or crossing joins.  Jones-Wenzl projectors slide through crossings and
     around cups, so a crossing's output and a cup's output once its left
     strand is projected lie in the image of the inclusions.  There pi
-    agrees with the exact readout: crossings and caps come out exact, and a
-    cup carries one windowed projection.
+    agrees with the exact readout: crossings and caps come out exact.  The
+    inclusions, colour-1 slices and readouts are exact and run as local
+    maps on the evaluator's state; the projection on a cup's left strand
+    carries windows, so it runs at full width on Intertwiner arithmetic.
     """
     if kind == "cup":
         piece = ColouredDiagram("slice", (), (Slice("cup", 1, colours[0], True),))
@@ -278,78 +289,126 @@ def cabled_map(kind: str, colours: tuple[int, ...], prec: int) -> Intertwiner:
     # every slice map preserves weight, so a source vector of a weight the
     # target lacks (any but 0 under a cap) maps to zero
     weights = {weight(tgt, j) for j in basis_indices(tgt)}
-    columns = {idx: v for idx, v in _basis_states(src).items()
+    columns = {idx: v for idx, v in _basis_states(up(src)).items()
                if weight(src, idx) in weights}
-    # inclusions right to left and projections left to right, so that the
+    # inclusions right to left and readouts left to right, so that the
     # factors not yet expanded or already collapsed keep one slot each
     for j in reversed(range(len(src))):
         if src[j] > 1:
             columns = _apply_all(to_local(inclusion(src[j])), j + 1, columns)
     for s in cable(piece).slices:
         columns = _apply_all(to_local(slice_mid(s.kind)), s.pos, columns)
+    if kind == "cup":
+        m = colours[0]
+        if m > 1:
+            columns = _apply_all(to_local(readout(m)), m + 1, columns)
+        half = _finish(src, up((1,) * m + (m,)), columns, prec)
+        return projection(m, prec).tensor(Intertwiner.identity((m,))) @ half
     for j, m in enumerate(tgt):
         if m > 1:
-            pi = projection(m, prec) if kind == "cup" and j == 0 \
-                else readout(m)
-            columns = _apply_all(to_local(pi), j + 1, columns)
-    return _finish(src, tgt, columns)
+            columns = _apply_all(to_local(readout(m)), j + 1, columns)
+    return _finish(src, up(tgt), columns, prec)
 
 
-def local_entries(local) -> tuple:
-    """A local map as (width, target, source index -> target index ->
-    (coefficients by degree, lowest degree, window)), order-free."""
-    return len(local.source), local.target, {
-        _index(s, local.source): {
-            _index(t, local.target): (
-                {lo + j: c for j, c in enumerate(cs) if c}, lo, v)
-            for t, cs, lo, v in img}
-        for s, img in local.columns.items() if img}
+def lattice(colours, down, idx) -> LaurentSeries:
+    """The product of [m, k] over the strands that point down, k their
+    index: v_idx is this times w_idx."""
+    c = LaurentSeries.one()
+    for m, is_down, k in zip(colours, down, idx):
+        if is_down:
+            c = c * binomial_row(m)[k]
+    return c
+
+
+def basis_change_mismatch(kind: str, colours: tuple[int, ...],
+                          down: tuple[bool, ...], prec: int) -> list[str]:
+    """Where D_t M and M' D_s differ, with no division: M the cabled map in
+    the basis v, M' the integral map of _coloured_local for these
+    orientations, D_s and D_t the lattice products of its source and
+    target.  An entry of D_t M with a window must reach M' D_s's top."""
+    if kind == "cup":
+        local = _coloured_local(kind, colours)
+        src, tgt, ds, dt = (), colours * 2, (), down
+    elif kind == "cap":
+        local = _coloured_local(kind, colours)
+        src, tgt, ds, dt = colours, (), down, ()
+    else:
+        local = _coloured_local(kind, colours, down)
+        src, tgt, ds, dt = colours, colours[::-1], down, down[::-1]
+    got = {(_index(s, src), _index(t, tgt)): LaurentSeries.make(lo, cs)
+           for s, img in local.columns.items() for t, cs, lo in img}
+    cabled = cabled_map(kind, colours, prec)
+    want = {(idx, jdx): c for idx, img in cabled.columns
+            for jdx, c in img.coords}
+    zero = LaurentSeries.zero()
+    bad = []
+    for idx, jdx in set(got) | set(want):
+        lhs = lattice(tgt, dt, jdx) * want.get((idx, jdx), zero)
+        rhs = got.get((idx, jdx), zero) * lattice(src, ds, idx)
+        if not lhs.eq_upto(rhs):
+            bad.append(f"{idx}->{jdx}: {lhs} != {rhs}")
+        elif lhs.valid_to is not None and lhs.valid_to < rhs.top_deg():
+            bad.append(f"{idx}->{jdx}: window {lhs.valid_to} ends below "
+                       f"q^{rhs.top_deg()}")
+    return bad
+
+
+ORIENTATIONS = [(False, False), (False, True), (True, False), (True, True)]
 
 
 class TestClosedFormSliceMaps:
-    """The closed-form slice maps equal the cabled oracle entry for entry,
-    values and windows alike."""
+    """The closed-form slice maps against the cabled oracle: D_t M = M' D_s
+    entry for entry, for every orientation of the strands."""
 
     @pytest.mark.parametrize("prec", [8, 24])
     @pytest.mark.parametrize("kind", ["pos", "neg"])
     def test_crossings(self, kind, prec):
         for a in range(1, 6):
             for b in range(1, 6):
-                want = local_entries(to_local(cabled_map(kind, (a, b), prec)))
-                got = local_entries(_coloured_local(kind, (a, b), prec))
-                assert got == want, (kind, a, b, prec)
+                for down in ORIENTATIONS:
+                    assert basis_change_mismatch(kind, (a, b), down, prec) \
+                        == [], (kind, a, b, down, prec)
 
     @pytest.mark.parametrize("prec", [8, 24])
     def test_cups_and_caps(self, prec):
-        windowed = 0
         for m in range(1, 6):
             for kind, colours in (("cup", (m,)), ("cap", (m, m))):
-                want = local_entries(to_local(cabled_map(kind, colours, prec)))
-                got = local_entries(_coloured_local(kind, colours, prec))
-                assert got == want, (kind, m, prec)
-                windowed += sum(v is not None for img in got[2].values()
-                                for _, _, v in img.values())
-        # every entry of the cups of colours 2-5
-        assert windowed == 3 + 4 + 5 + 6
+                # the two ends of a cup or cap point opposite ways
+                for down in ORIENTATIONS[1:3]:
+                    assert basis_change_mismatch(kind, colours, down, prec) \
+                        == [], (kind, m, down, prec)
+                # every entry a signed monomial
+                assert all(len(cs) == 1 for img in
+                           _coloured_local(kind, colours).columns.values()
+                           for _, cs, _ in img), (kind, m)
 
 
 def seeded_state(rng: random.Random, colours, scale: int = 1) -> ModuleElement:
-    """Entries on about half the basis with interior zeros, windowed on
-    two in three; every coefficient is one of 0, 1, -1, 2, -3 times scale."""
+    """Exact entries on about half the basis with interior zeros; every
+    coefficient is one of 0, 1, -1, 2, -3 times scale."""
     coords = {}
     for idx in basis_indices(colours):
         if rng.random() < 0.5:
             continue
-        lo = rng.randint(-4, 4)
         cs = [scale * rng.choice((0, 1, -1, 2, -3))
               for _ in range(rng.randint(1, 5))]
-        v = None if rng.random() < 1 / 3 else rng.randint(lo, lo + 6)
-        coords[idx] = LaurentSeries.make(lo, cs, v)
+        coords[idx] = LaurentSeries.make(rng.randint(-4, 4), cs)
     return ModuleElement.make(colours, coords)
 
 
 def local_apply(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
     return _element(_apply_local(to_local(mid), i, to_state(x)))
+
+
+@lru_cache(maxsize=None)
+def integral_projection(m: int) -> Intertwiner:
+    """pi_m into the integral basis w_k = v_k / [m, k] of V_m, where it is
+    exact: v_a -> q^(-l(a)) w_|a|."""
+    def col(a):
+        l, _, k = seq_stats(a)
+        return ModuleElement.make((m,), {(k,): LaurentSeries.monomial(-l)})
+
+    return Intertwiner.from_function((1,) * m, (m,), col)
 
 
 # the colour-1 slices, the projections and inclusions, and one coloured
@@ -359,8 +418,8 @@ LOCAL_MAPS = {
     "cap": lambda: slice_mid("cap"),
     "pos": lambda: slice_mid("pos"),
     "neg": lambda: slice_mid("neg"),
-    "projection2": lambda: projection(2, 6),
-    "projection3": lambda: projection(3, 6),
+    "projection2": lambda: integral_projection(2),
+    "projection3": lambda: integral_projection(3),
     "inclusion2": lambda: inclusion(2),
     "inclusion3": lambda: inclusion(3),
     "coloured-pos": lambda: cabled_map("pos", (2, 1), 8),
@@ -369,16 +428,15 @@ LOCAL_MAPS = {
 
 class TestApplyLocal:
     """_apply_local against the full-width positioned(mid, i, n).apply(x),
-    which shares no code with it: values and windows must agree."""
+    which shares no code with it."""
 
     @staticmethod
     def check_full_width(name: str, scale: int) -> tuple[int, int]:
         """Compare on 12 seeded states at every position; the number of
-        windowed image entries, and of images packed wider than their
-        input."""
+        image entries, and of images packed wider than their input."""
         mid = LOCAL_MAPS[name]()
         n = 4
-        windowed = wider = 0
+        entries = wider = 0
         for i in range(1, n - len(mid.source) + 2):
             colours = (1,) * (i - 1) + mid.source + \
                 (1,) * (n - (i - 1) - len(mid.source))
@@ -388,14 +446,14 @@ class TestApplyLocal:
                 packed = _apply_local(to_local(mid), i, to_state(x))
                 got = _element(packed)
                 assert got == full.apply(x), (name, i, seed)
-                windowed += sum(c.valid_to is not None for _, c in got.coords)
+                entries += len(got.coords)
                 wider += packed.bits > to_state(x).bits
-        return windowed, wider
+        return entries, wider
 
     @pytest.mark.parametrize("name", list(LOCAL_MAPS))
     def test_matches_full_width_apply(self, name):
-        windowed, _ = self.check_full_width(name, 1)
-        assert windowed > 20
+        entries, _ = self.check_full_width(name, 1)
+        assert entries > 20
 
     # coefficients of 2^61 and 2^125 times a few, which pack into 64- and
     # 128-bit digits; under a map of row norm 2 or more their images need
@@ -403,44 +461,37 @@ class TestApplyLocal:
     @pytest.mark.parametrize("scale", [2 ** 61 + 1, 2 ** 125 + 1])
     @pytest.mark.parametrize("name", list(LOCAL_MAPS))
     def test_wide_coefficients_are_repacked(self, name, scale):
-        windowed, wider = self.check_full_width(name, scale)
-        assert windowed > 20
+        entries, wider = self.check_full_width(name, scale)
+        assert entries > 20
         assert (wider > 0) == (to_local(LOCAL_MAPS[name]()).norm > 1)
 
     def test_entry_that_cancels_is_dropped(self):
         # cap(q^-1 v0 v1 + v1 v0) = q^-1 - q^-1
         mid = slice_mid("cap")
         x = ModuleElement.make((1, 1), {
-            (0, 1): LaurentSeries.make(-1, [1], 3),
-            (1, 0): LaurentSeries.make(0, [1], 4)})
+            (0, 1): LaurentSeries.monomial(-1),
+            (1, 0): LaurentSeries.one()})
         got = local_apply(mid, 1, x)
         assert got.is_zero() and got == positioned(mid, 1, 2).apply(x)
 
-    def test_entry_above_its_window_is_dropped(self):
-        # q^-1 + q^5 - q^-1 leaves q^5, above the window q^1 of the second
-        # product
-        mid = slice_mid("cap")
-        x = ModuleElement.make((1, 1), {
-            (0, 1): LaurentSeries.make(-1, [1, 0, 0, 0, 0, 0, 1]),
-            (1, 0): LaurentSeries.make(0, [1], 2)})
-        got = local_apply(mid, 1, x)
-        assert got.is_zero() and got == positioned(mid, 1, 2).apply(x)
-        # with the second window wider, q^5 stays: q^5 + O(q^6)
-        x = ModuleElement.make((1, 1), {
-            (0, 1): LaurentSeries.make(-1, [1, 0, 0, 0, 0, 0, 1]),
-            (1, 0): LaurentSeries.make(0, [1], 6)})
-        got = local_apply(mid, 1, x)
-        assert got == positioned(mid, 1, 2).apply(x)
-        assert got.as_dict()[()] == LaurentSeries.make(5, [1], 5)
+    def test_windowed_map_is_refused(self):
+        # the evaluator's maps are exact; pi_2 in the basis v is not
+        with pytest.raises(ValueError, match="not exact"):
+            to_local(projection(2, 6))
 
-    def test_window_uses_the_lowest_nonzero_degree(self):
-        # the exact entry q^2 shifts the window of pi_2's term by 2
-        mid = projection(2, 6)
-        term = mid.column((0, 1)).as_dict()[(1,)]
-        x = ModuleElement.make((1, 1), {(0, 1): LaurentSeries.monomial(2)})
-        got = local_apply(mid, 1, x)
-        assert got == positioned(mid, 1, 2).apply(x)
-        assert got.as_dict()[(1,)].valid_to == term.valid_to + 2
+
+class TestDivide:
+    def test_exact_quotient_and_expansion(self):
+        # a multiple of [4, 2] comes back whole; one more term makes it a
+        # series of exactly ``precision`` coefficients
+        d = binomial_row(4)[2]
+        q = LaurentSeries.make(-3, [1, 0, -2, 5])
+        assert _divide(q * d, d, 8) == q
+        c = q * d + LaurentSeries.monomial(40)
+        got = _divide(c, d, 8)
+        assert got.valid_to is not None
+        assert got.valid_to - got.min_deg + 1 == 8
+        assert (got * d).eq_upto(c)
 
 
 class TestIntegrality:
@@ -458,8 +509,8 @@ class TestIntegrality:
             assert all(type(c) is int for c in val.coeffs), d.name
 
     def test_open_tangle_entries_are_ints(self):
-        # every binomial has leading coefficient 1, so even the inverted
-        # binomials inside the projections expand over Z
+        # every binomial has lowest coefficient 1, so even an entry the
+        # division at the end expands as a series stays over Z
         entries = 0
         for seed in range(8):
             rng = random.Random(seed)
@@ -474,8 +525,18 @@ class TestIntegrality:
                     entries += 1
         assert entries > 50
 
+    def test_open_tangle_at_precision_zero(self):
+        # an entry that is not a polynomial expands to no coefficients: a
+        # zero with a window, where its exact entries stay whole
+        d = parse("bottom -2\ncup 2 2 u\npos 1\n")
+        entries = [c for _, img in phi_coloured(d, 0).columns
+                   for _, c in img.coords]
+        windowed = [c for c in entries if c.valid_to is not None]
+        assert windowed and all(c.is_zero() for c in windowed)
+        assert phi_coloured(d, 0).eq_upto(phi_coloured(d, 32))
+
     def test_colour_one_tangles_are_exact(self):
-        # pi_1 is the exact identity, so nothing truncates a colour-1 tangle
+        # [1, k] = 1, so nothing divides a colour-1 tangle's entries
         d = parse("bottom +1 -1\npos 1\ncup 2 1 u\nneg 2\n")
         entries = [s for _, img in normalized_invariant(d, PREC).value.columns
                    for _, s in img.coords]

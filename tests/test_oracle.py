@@ -1,13 +1,19 @@
 """The evaluator against oracles that share none of its evaluation code.
 
-Closed links go to Kauffman's state model of the bracket (L. Kauffman,
-"State models and the Jones polynomial", Topology 26, 1987), summed over
-the cabled slice word.  Its expected values read nothing of qtangle but a
+Closed links in colours 1-3 go to Kauffman's state model of the bracket
+(L. Kauffman, "State models and the Jones polynomial", Topology 26, 1987),
+summed over the cabled slice word.  Its expected values read nothing of qtangle but a
 diagram's slices and, from ``qtangle.tangle``, ``parse``, ``random_link``
 and ``cable``: no series, module, intertwiner or local map.  A colour-m
 strand becomes m parallel strands with the integral Temperley-Lieb element
 [m] f_m inserted after each colour-m cup, f_m the Jones-Wenzl projector, so
 the sum is the product of [m] over the cups times the coloured value.
+
+Higher colours go to two whole-polynomial identities whose expected
+values use only ``LaurentSeries`` arithmetic and the DSL: Habiro's
+cyclotomic expansion of the coloured figure-eight (K. Habiro, Invent. Math.
+171, 2008), and the cabling identity, which reads a colour-m value off the
+colour-1 value of its cable and the values in lower colours.
 
 Open tangles go to the composite of the cabled slice maps of
 ``test_invariant.cabled_map``, each placed at full width with
@@ -16,12 +22,15 @@ closed-form maps on a packed local state, and shares none of that.
 """
 
 import random
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtangle.intertwiner import Intertwiner
 from qtangle.invariant import link_invariant, phi_coloured
-from qtangle.qseries import LaurentSeries
+from qtangle.qseries import LaurentSeries, quantum_integer
 from qtangle.tangle import (BoundaryPoint, boundary_states, cable, parse,
                             random_diagram, random_link)
 
@@ -272,11 +281,127 @@ class TestClosedLinks:
         d = random_link(8, 1 + seed % 3, seed, max_width=6)
         assert closed_mismatch(d, 32) == [], d.name
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
     def test_windowed_zero_is_not_exact(self):
-        # evaluates to the exact 0 at precision 16
+        # once evaluated to the exact 0 at precision 16
         d = random_link(10, 3, 61)
         assert closed_mismatch(d, 16) == []
+
+    def test_nested_colour_four_cups(self):
+        # once printed as the exact 0 at precisions 24 and 32, and with a
+        # window at 16 and 48
+        d = parse("bottom\ncup 1 4 u\ncup 2 4 u\n" + "pos 2\n" * 3 +
+                  "cap 2\ncap 1\n")
+        values = [link_invariant(d, p) for p in (16, 24, 32, 48)]
+        assert values[0].valid_to is None and not values[0].is_zero()
+        assert all(v == values[0] for v in values)
+
+
+class TestPrecision:
+    """Values at two precisions, with no oracle: a closed link's is exact
+    and the same at both, and an open tangle's agree on their common
+    window, each windowed entry carrying at least ``precision``
+    coefficients."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([8, 16, 24]),
+           st.sampled_from([32, 48]))
+    def test_closed_links_are_exact(self, seed, p1, p2):
+        d = random_link(10, 1 + seed % 3, seed, max_width=6)
+        a, b = link_invariant(d, p1), link_invariant(d, p2)
+        assert a.valid_to is None and a == b, d.name
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([8, 16, 24]),
+           st.sampled_from([32, 48]))
+    def test_open_tangles_agree_on_their_windows(self, seed, p1, p2):
+        d = seeded_open(seed)
+        a, b = phi_coloured(d, p1), phi_coloured(d, p2)
+        assert a.eq_upto(b), d.name
+        for value, p in ((a, p1), (b, p2)):
+            for _, img in value.columns:
+                for _, c in img.coords:
+                    assert c.valid_to is None or \
+                        c.valid_to - c.min_deg + 1 >= p, d.name
+
+
+def figure_eight(m: int, first: str = "pos"):
+    """The colour-m figure-eight; with ``first="neg"`` its first crossing
+    is flipped."""
+    return parse(f"bottom\ncup 1 {m} u\ncup 2 {m} u\ncup 3 {m} u\n"
+                 f"{first} 1\nneg 2\npos 1\nneg 2\ncap 3\ncap 2\ncap 1\n")
+
+
+def habiro(m: int) -> LaurentSeries:
+    """The colour-m figure-eight, N = m + 1: (-1)^m [N] times
+    sum_(k < N) prod_(j <= k) (q^(N+j) - q^(-N-j)) (q^(N-j) - q^(j-N))."""
+    n = m + 1
+    total = term = LaurentSeries.one()
+    for j in range(1, n):
+        term = term * LaurentSeries.from_dict({n + j: 1, -n - j: -1}) * \
+            LaurentSeries.from_dict({n - j: 1, j - n: -1})
+        total = total + term
+    return (quantum_integer(n) * total).scale((-1) ** m)
+
+
+class TestHabiro:
+    """The coloured figure-eight against Habiro's cyclotomic expansion,
+    whole polynomials."""
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_figure_eight(self, m):
+        assert link_invariant(figure_eight(m), 16) == habiro(m)
+
+    @pytest.mark.parametrize("m", range(1, 4))
+    def test_flipped_crossing_differs(self, m):
+        assert link_invariant(figure_eight(m, "neg"), 16) != habiro(m)
+
+
+def ballot(m: int, j: int) -> int:
+    """The multiplicity of V_j in V_1^(x m)."""
+    if (m - j) % 2:
+        return 0
+    i = (m - j) // 2
+    return comb(m, i) - (comb(m, i - 1) if i else 0)
+
+
+def cabling_sides(word: list[int], m: int,
+                  framed: bool = True) -> tuple[LaurentSeries, LaurentSeries]:
+    """The two sides of phi(cable(D_m)) = sum_j ballot(m, j)
+    q^(-3(m^2-j^2)w/2) phi(D_j) for the 2-strand closure D_m of a braid
+    word in colour m, w the sum of its letters and phi the raw value; the
+    left side is colour 1 throughout.  ``framed=False`` drops the factor
+    q^(-3(m^2-j^2)w/2)."""
+    def phi(j: int) -> LaurentSeries:
+        return phi_coloured(parse(braid_closure(word, [j, j]))).scalar()
+
+    w = sum(word)
+    right = LaurentSeries.zero()
+    for j in range(m % 2, m + 1, 2):
+        term = phi(j) if j else LaurentSeries.one()
+        if framed:
+            term = term.shift(-3 * (m * m - j * j) * w // 2)
+        right = right + term.scale(ballot(m, j))
+    return phi_coloured(cable(parse(braid_closure(word, [m, m])))).scalar(), \
+        right
+
+
+CABLED_WORDS = [[1, 1, 1], [1, 1, 1, 1, 1], [-1, 1, 1]]
+
+
+class TestCablingIdentity:
+    """Colours 2-4 against the colour-1 value of the cable, whole
+    polynomials."""
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("word", CABLED_WORDS, ids=["+++", "+++++", "-++"])
+    def test_two_strand_closures(self, word, m):
+        left, right = cabling_sides(word, m)
+        assert left.valid_to is None and left == right
+
+    @pytest.mark.parametrize("word", CABLED_WORDS, ids=["+++", "+++++", "-++"])
+    def test_dropped_framing_factor_differs(self, word):
+        left, right = cabling_sides(word, 2, framed=False)
+        assert left != right
 
 
 def window_narrowing(ref: Intertwiner, got: Intertwiner) -> list[str]:

@@ -109,6 +109,13 @@ class TestInversion:
         assert (a * inv).eq_upto(LaurentSeries.one())
         assert inv.min_deg == 1
 
+    def test_inverse_to_no_coefficients_is_a_windowed_zero(self):
+        # 1 / (q^-1 + 1) = q - q^2 + ... to p <= 0 coefficients is known
+        # only below q^(p+1)
+        a = LaurentSeries.make(-1, [1, 1])
+        assert a.invert(0) == LaurentSeries.zero(0)
+        assert a.invert(-3) == LaurentSeries.zero(-3)
+
     def test_zero_inversion_raises(self):
         with pytest.raises(ZeroDivisionError):
             LaurentSeries.zero().invert(8)

@@ -43,6 +43,18 @@ class TestBasics:
         with pytest.raises(ValueError):
             ModuleElement.make((2,), {(3,): LaurentSeries.one()})
 
+    def test_sum_that_cancels_keeps_its_window(self):
+        # (q + O(q^3)) + (-q + O(q^3)) + q^5 is 0 + O(q^3) in either grouping
+        def vec(c):
+            return ModuleElement.make((1,), {(0,): c})
+
+        a = vec(LaurentSeries.make(1, [1], 2))
+        b = vec(LaurentSeries.make(1, [-1], 2))
+        c = vec(LaurentSeries.monomial(5))
+        want = vec(LaurentSeries.zero(2))
+        assert (a + b) + c == want
+        assert a + (b + c) == want
+
 
 class TestGeneratorAction:
     def test_single_factor_formulas(self):
