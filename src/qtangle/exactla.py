@@ -35,17 +35,18 @@ class Poly:
     @staticmethod
     def make(nvars: int, terms) -> "Poly":
         if isinstance(terms, dict):
-            items = terms.items()
-        else:
-            items = terms
-        clean = []
-        for exps, c in items:
-            exps = tuple(exps)
+            terms = terms.items()
+        terms = [(tuple(exps), c) for exps, c in terms]
+        for exps, _ in terms:
             if len(exps) != nvars or any(e < 0 for e in exps):
                 raise ValueError(f"bad exponent tuple {exps} for nvars={nvars}")
-            c = _coef(c)
-            if c:
-                clean.append((exps, c))
+        return Poly._sorted(nvars, terms)
+
+    @staticmethod
+    def _sorted(nvars: int, terms) -> "Poly":
+        """The Poly of (exponent tuple, coefficient) pairs whose tuples are
+        already valid: zero terms dropped, the rest sorted."""
+        clean = [(e, c) for e, c in ((e, _coef(c)) for e, c in terms) if c]
         clean.sort(key=lambda t: t[0])
         return Poly(nvars, tuple(clean))
 
@@ -78,7 +79,7 @@ class Poly:
         d = self.as_dict()
         for exps, c in other.terms:
             d[exps] = d.get(exps, 0) + c
-        return Poly.make(self.nvars, d)
+        return Poly._sorted(self.nvars, d.items())
 
     def __neg__(self) -> "Poly":
         return Poly(self.nvars, tuple((e, -c) for e, c in self.terms))
@@ -94,7 +95,7 @@ class Poly:
             for e2, c2 in other.terms:
                 e = tuple(a + b for a, b in zip(e1, e2))
                 d[e] = d.get(e, 0) + c1 * c2
-        return Poly.make(self.nvars, d)
+        return Poly._sorted(self.nvars, d.items())
 
     def scale(self, c) -> "Poly":
         c = _coef(c)
@@ -113,20 +114,6 @@ class Poly:
         if nv is None:
             raise ValueError("cannot infer variable count from the zero polynomial")
         return Poly.make(nv, d)
-
-    def weighted_degree(self, weights: tuple[int, ...]) -> int | None:
-        """Common weighted degree of all terms, or raise if inhomogeneous."""
-        if not self.terms:
-            return None
-        degs = {sum(w * e for w, e in zip(weights, exps)) for exps, _ in self.terms}
-        if len(degs) != 1:
-            raise ValueError("polynomial is not homogeneous for these weights")
-        return degs.pop()
-
-    def homogeneous_part(self, weights: tuple[int, ...], d: int) -> "Poly":
-        return Poly(self.nvars, tuple(
-            (e, c) for e, c in self.terms
-            if sum(w * x for w, x in zip(weights, e)) == d))
 
     def divide_exact(self, divisor: "Poly") -> "Poly":
         """Exact division; raise ValueError if the remainder is nonzero."""

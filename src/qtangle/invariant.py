@@ -1,34 +1,30 @@
 """Evaluation of tangle diagrams to intertwiners and the invariance harness.
 
-phi_coloured evaluates a coloured diagram slice by slice, in one exact pass.
-It keeps the state in the tensor product of the coloured modules V_m, in
-Lusztig's integral form (G. Lusztig, Introduction to Quantum Groups, 1993):
-the basis v_k on a strand that points up and w_k = v_k / [m, k] on one that
-points down.  It applies one local map per slice, on just the strands the
-slice touches.  Each map is written in closed form by _coloured_local and
-cached per (kind, colours, orientations): a crossing of V_a and V_b from the
-quasi-R-matrix Theta = sum_n theta_n E^(n) (x) F^(n) and the weight factor
+phi_coloured evaluates a coloured diagram slice by slice, in one exact pass,
+in Lusztig's integral form of the tensor product of the coloured modules V_m
+(G. Lusztig, Introduction to Quantum Groups, 1993): the basis v_k on a strand
+that points up and w_k = v_k / [m, k] on one that points down.  Each slice
+applies one local map, on just the strands it touches, written in closed
+form by _coloured_local and cached per (kind, colours, orientations): a
+crossing of V_a and V_b from the quasi-R-matrix and the weight factor
 (Kirby-Melvin, Invent. Math. 105, 1991), a cap and a cup as signed
-monomials.  Every entry of every map is an integer Laurent polynomial, so a
-closed link evaluates to an exact Laurent polynomial at any precision.  The
-maps are the cabled slices between Jones-Wenzl inclusions and projections,
-rescaled to the integral basis, but nothing here cables.
-
-An open tangle's source vector v_k enters as [m, k] w_k on a down point, and
-each entry on down target points is divided back at the end: exactly when
-the quotient is a Laurent polynomial, else expanded once to ``precision``
-coefficients, the one place a window is made.  The framing normalization
-multiplies by q^{3 gamma}, where gamma, from tangle.writhe_gamma, is the
-oriented crossing count of the cabling.
-phi_coloured refuses, before any work, a diagram whose slice states, one
-per source basis vector, would hold more than MAX_STATE entries or whose
-closed-form maps would pass MAX_MAP_SIZE.
+monomials.  Each map is built straight into integer columns, its products
+multiplied as packed ints (packing), and every entry is an integer Laurent
+polynomial, so a closed link evaluates to an exact Laurent polynomial at any
+precision.  The maps are the cabled slices between Jones-Wenzl inclusions
+and projections, rescaled to the integral basis, but nothing here cables.
 
 Every column under evaluation is a _State: per basis index, keyed by a
-mixed-radix int, the entry's integer coefficients packed into one int
-(packing).  _apply_local maps one state to the next with one big-int
-multiply per product and builds no series; the columns become series once,
-when the finished map is made.
+mixed-radix int, the entry's integer coefficients packed into one int.  An
+open tangle's source vector v_k enters as [m, k] w_k on a down point, and
+_apply_local maps one state to the next with one big-int multiply per
+product.  _finish makes the columns series once, dividing each entry on down
+target points back: exactly when the quotient is a Laurent polynomial, else
+expanded to ``precision`` coefficients, the one place a window is made.
+normalized_invariant applies the framing q^(3 gamma), with gamma from
+tangle.writhe_gamma, as a shift of every entry.  phi_coloured refuses,
+before any work, a diagram whose slice states, one per source basis vector,
+would hold more than MAX_STATE entries or whose maps would pass MAX_MAP_SIZE.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 from .packing import low_digit, pack, unpack, width
@@ -108,6 +105,19 @@ class _Local(NamedTuple):
     norm: int
     packed: dict
 
+    @staticmethod
+    def make(source: tuple[int, ...], target: tuple[int, ...],
+             columns: dict) -> "_Local":
+        """The _Local of these columns, with their m0 and norm."""
+        rows: dict[int, int] = {}
+        for img in columns.values():
+            for t, cs, _ in img:
+                rows[t] = rows.get(t, 0) + sum(map(abs, cs))
+        return _Local(source, target, _radix(source), _radix(target), columns,
+                      min((lo for img in columns.values() for _, _, lo in img),
+                          default=0),
+                      max(rows.values(), default=0), {})
+
     def terms(self, bits: int, right: int) -> dict:
         """Per source slot, the terms (target slot times ``right``, packed
         coefficients times q^-m0) of its image, for digits of ``bits`` bits
@@ -148,27 +158,6 @@ def _index(key: int, colours: tuple[int, ...]) -> tuple[int, ...]:
         key, a = divmod(key, m + 1)
         idx.append(a)
     return tuple(reversed(idx))
-
-
-def _make_local(source: tuple[int, ...], target: tuple[int, ...],
-                columns) -> _Local:
-    """The _Local of the map sending source index idx to the sum of c v_jdx
-    over the (jdx, c) of columns[idx], for nonzero exact integral series c.
-    A windowed series raises ValueError: a local map is exact."""
-    cols, rows = {}, {}
-    for idx, img in columns:
-        terms = []
-        for jdx, c in img:
-            if c.valid_to is not None:
-                raise ValueError(f"local map entry {c} is not exact")
-            t = _key(jdx, target)
-            terms.append((t, c.coeffs, c.min_deg))
-            rows[t] = rows.get(t, 0) + sum(map(abs, c.coeffs))
-        cols[_key(idx, source)] = tuple(terms)
-    return _Local(source, target, _radix(source), _radix(target), cols,
-                  min((lo for img in cols.values() for _, _, lo in img),
-                      default=0),
-                  max(rows.values(), default=0), {})
 
 
 def _element(x: _State) -> ModuleElement:
@@ -231,16 +220,26 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
                   x.base + mid.m0, x.bits, x.bound * mid.norm)
 
 
+def _product(sign: int, *factors: LaurentSeries) -> LaurentSeries:
+    """sign times the product of these integer Laurent polynomials, by one
+    multiply of packed ints (packing).  No coefficient of a product exceeds
+    the product of its factors' L1 norms, which sets the digit width."""
+    if sign == 1 and len(factors) == 1:
+        return factors[0]
+    bits = width(prod(sum(map(abs, f.coeffs)) for f in factors))
+    p = sign * prod(pack(f.coeffs, bits) for f in factors)
+    return LaurentSeries(sum(f.min_deg for f in factors),
+                         tuple(unpack(p, bits)))
+
+
 @lru_cache(maxsize=None)
 def _lattice(points: tuple[BoundaryPoint, ...],
              idx: tuple[int, ...]) -> LaurentSeries:
     """The product of [m, k] over the points of colour m that point down,
     k their index: v_idx = _lattice(points, idx) w_idx."""
-    c = LaurentSeries.one()
-    for p, k in zip(points, idx):
-        if not p.up and p.colour > 1:
-            c = c * binomial_row(p.colour)[k]
-    return c
+    return _product(1, *(binomial_row(p.colour)[k]
+                         for p, k in zip(points, idx)
+                         if not p.up and p.colour > 1))
 
 
 def _basis_states(points: tuple[BoundaryPoint, ...]) -> dict:
@@ -302,7 +301,8 @@ def _theta(n: int) -> LaurentSeries:
     E^(n) (x) F^(n) in the quasi-R-matrix; theta_n / theta_(n-1) = q^(1-2n) - q."""
     if n == 0:
         return LaurentSeries.one()
-    return _theta(n - 1) * LaurentSeries.from_dict({1 - 2 * n: 1, 1: -1})
+    return _product(1, _theta(n - 1), LaurentSeries(
+        1 - 2 * n, (1,) + (0,) * (2 * n - 1) + (-1,)))
 
 
 @lru_cache(maxsize=None)
@@ -315,8 +315,8 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
     a cap or crossing joins, and ``down`` says which of a crossing's two
     points point down.  Write x_i for the basis vector of V_a and y_j for
     that of V_b: v on a strand that points up, w on one that points down.
-    With mu_i = 2i - a, nu_j = 2j - b and theta_n as in _theta, thetabar_n
-    its bar image (q -> q^-1):
+    With mu_i = 2i - a, nu_j = 2j - b, theta_n as in _theta and its bar image
+    (q -> q^-1) thetabar_n = (-1)^n q^(n(n-1)) theta_n:
 
       pos  x_i (x) y_j -> (-1)^(ab) sum_(n <= min(a-i, j)) theta_n A_n B_n
            q^((-3ab - mu_(i+n) nu_(j-n))/2) y_(j-n) (x) x_(i+n)
@@ -332,41 +332,46 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
     inclusions iota and projections pi: there a cap's entry carries [m, k]
     and a cup's entry 1/[m, j], which the down end of each absorbs, and
     [m, k+n] [k+n, n] = [m, k] [m-k, n] turns the binomial of a crossing's
-    down strand.  Every entry is exact.
+    down strand.  Every entry is exact, and each term is built straight into
+    integer coefficients, by one _product for n >= 1.
     """
     if kind == "cup":
         m, = colours
-        return _make_local((), (m, m), [((), [
-            ((m - j, j), LaurentSeries.monomial(j * (j - m + 1), (-1) ** j))
-            for j in range(m + 1)])])
+        return _Local.make((), (m, m), {0: tuple(
+            ((m - j) * (m + 1) + j, ((-1) ** j,), j * (j - m + 1))
+            for j in range(m + 1))})
     a, b = colours
     if kind == "cap":
-        return _make_local((a, b), (), [
-            ((k, a - k), [((), LaurentSeries.monomial(-k * (k - a + 1),
-                                                      (-1) ** k))])
-            for k in range(a + 1)])
+        return _Local.make((a, b), (), {
+            k * (b + 1) + a - k: ((0, ((-1) ** k,), -k * (k - a + 1)),)
+            for k in range(a + 1)})
     da, db = down
     sign = (-1) ** (a * b)
-    columns = []
+    unit = LaurentSeries(0, (sign,))
+    columns = {}
     for i in range(a + 1):
         for j in range(b + 1):
             terms = []
             if kind == "pos":
                 for n in range(min(a - i, j) + 1):
-                    c = _theta(n) * \
-                        binomial_row(a - i if da else i + n)[n] * \
-                        binomial_row(j if db else b - j + n)[n]
+                    c = unit if n == 0 else _product(
+                        sign, _theta(n),
+                        binomial_row(a - i if da else i + n)[n],
+                        binomial_row(j if db else b - j + n)[n])
                     e = (-3 * a * b - (2 * (i + n) - a) * (2 * (j - n) - b)) // 2
-                    terms.append(((j - n, i + n), c.shift(e).scale(sign)))
+                    terms.append(((j - n) * (a + 1) + i + n, c.coeffs,
+                                  c.min_deg + e))
             else:
                 e = (3 * a * b + (2 * i - a) * (2 * j - b)) // 2
                 for n in range(min(b - j, i) + 1):
-                    c = _theta(n).bar() * \
-                        binomial_row(b - j if db else j + n)[n] * \
-                        binomial_row(i if da else a - i + n)[n]
-                    terms.append(((j + n, i - n), c.shift(e).scale(sign)))
-            columns.append(((i, j), terms))
-    return _make_local((a, b), (b, a), columns)
+                    c = unit if n == 0 else _product(
+                        sign * (-1) ** n, _theta(n),
+                        binomial_row(b - j if db else j + n)[n],
+                        binomial_row(i if da else a - i + n)[n])
+                    terms.append(((j + n) * (a + 1) + i - n, c.coeffs,
+                                  c.min_deg + e + n * (n - 1)))
+            columns[i * (b + 1) + j] = tuple(terms)
+    return _Local.make((a, b), (b, a), columns)
 
 
 class DiagramTooLarge(ValueError):
@@ -383,8 +388,9 @@ MAX_STATE = 2 ** 20
 # span, (a+1)(b+1)(min(a,b)+1)(ab+1) for a crossing of colours a and b and
 # (m+1)(m^2/4+1) for a cup or cap of colour m.  A boundary point of colour m
 # that points down counts as a cap of colour m, for the binomial row its
-# basis change reads.  A map at the limit, a crossing of colour 11 or a cap
-# of colour 100, takes about a second to build.
+# basis change reads.  A map at the limit takes 0.02-0.03 s to build for a
+# crossing of colour 11 and under 1 ms for a cap of colour 100 (Python
+# 3.11.7 on a 2-core Xeon).
 MAX_MAP_SIZE = 2 ** 18
 
 
@@ -456,7 +462,7 @@ def normalized_invariant(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,
                          flip_gamma_sign: bool = False) -> InvariantResult:
     gamma = writhe_gamma(d, flip_sign=flip_gamma_sign)
     raw = phi_coloured(d, precision)
-    return InvariantResult(raw.scale(LaurentSeries.monomial(3 * gamma)), gamma, True)
+    return InvariantResult(raw.shift(3 * gamma), gamma, True)
 
 
 def link_invariant(d: ColouredDiagram,

@@ -287,8 +287,8 @@ def euler_characteristic_vs_p2(precision: int = DEFAULT_PRECISION) -> dict:
     The complex terms all equal the bimodule A(2) (x) (2)A, so the Euler
     characteristic acts on classes by [M] -> (sum_n (-q^2)^n) dim_q(M e_2)
     [(2)A].  The matrix is computed on the standard-module basis and
-    compared with the weight-zero block of the Jones-Wenzl projector,
-    scanning a small window of overall q powers.
+    compared with the weight-zero block of the Jones-Wenzl projector at
+    q power 0: the two agree with no overall shift.
     """
     A = gl2_algebra()
     d1 = _standard_module_ids(A, 1, [])       # Delta(1) = (1)A
@@ -314,10 +314,7 @@ def euler_characteristic_vs_p2(precision: int = DEFAULT_PRECISION) -> dict:
     block = jones_wenzl(2, precision).blocks()[0]
     # blocks() basis at weight 0 is [(0,1), (1,0)]; the dictionary matches
     # [Delta(2)] with v_0 v_1 and [Delta(1)] with v_1 v_0
-    for shift in range(-4, 5):
-        ok = all(mat_alg[r][c].shift(shift).eq_upto(block[r][c])
-                 for r in range(2) for c in range(2))
-        if ok:
-            return {"match": True, "q_power": shift,
-                    "basis": "[Delta(2)], [Delta(1)] ~ v0v1, v1v0"}
-    return {"match": False, "q_power": None, "basis": None}
+    ok = all(mat_alg[r][c].eq_upto(block[r][c])
+             for r in range(2) for c in range(2))
+    return {"match": ok, "q_power": 0 if ok else None,
+            "basis": "[Delta(2)], [Delta(1)] ~ v0v1, v1v0" if ok else None}

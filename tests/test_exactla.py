@@ -76,17 +76,6 @@ class TestPoly:
         with pytest.raises(ValueError):
             (x + one).divide_exact(x * x)
 
-    def test_weighted_degree(self):
-        p = Poly.make(2, {(2, 1): 1, (0, 2): 1})
-        assert p.weighted_degree((1, 2)) == 4
-        with pytest.raises(ValueError):
-            p.weighted_degree((1, 1))
-        assert Poly.zero(2).weighted_degree((1, 2)) is None
-
-    def test_homogeneous_part(self):
-        p = Poly.make(1, {(0,): 1, (1,): 2, (2,): 3})
-        assert p.homogeneous_part((1,), 1) == Poly.make(1, {(1,): 2})
-
     def test_map_exponents_relabels_variables(self):
         p = Poly.make(2, {(1, 2): 5})
         q = p.map_exponents(lambda e: (e[1], e[0], 0))

@@ -144,6 +144,21 @@ class TestAlgebraOfMaps:
         c = turnback_at(i, width)
         assert (c @ c).eq_upto(c.scale(quantum_integer(2).scale(-1)))
 
+    def test_shift_moves_every_entry_and_its_window(self):
+        # 0 + O(q^3) stays a zero on its window, moved to O(q^(3+n))
+        f = Intertwiner.make((1,), (1,), {
+            (0,): ModuleElement.make((1,), {(0,): LaurentSeries.zero(3)}),
+            (1,): ModuleElement.make((1,), {
+                (0,): LaurentSeries.make(-1, [2, 0, 5]),
+                (1,): LaurentSeries.make(0, [1, -1], 4)})})
+        for n in (-4, 0, 7):
+            g = f.shift(n)
+            assert g.column((0,)).coords == (((0,), LaurentSeries.zero(3 + n)),)
+            assert g.column((1,)).coords == (
+                ((0,), LaurentSeries.make(n - 1, [2, 0, 5])),
+                ((1,), LaurentSeries.make(n, [1, -1], 4 + n)))
+            assert g == f.scale(LaurentSeries.monomial(n))
+
     def test_scalar_requires_closed_map(self):
         with pytest.raises(ValueError):
             cap().scalar()

@@ -13,7 +13,7 @@ from qtangle.intertwiner import (Intertwiner, cap, crossing_neg,
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
                                _apply_all, _apply_local, _basis_states,
                                _coloured_local, _divide, _element, _finish,
-                               _index, _key, _make_local, _theta,
+                               _index, _key, _theta,
                                link_invariant, normalized_invariant,
                                phi_coloured, verify_invariance)
 from qtangle.packing import pack, width
@@ -21,7 +21,7 @@ from qtangle.qseries import LaurentSeries, binomial_row, quantum_integer
 from qtangle.uqsl2 import ModuleElement, basis_indices, seq_stats, weight
 from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                             cable, parse, random_diagram, random_link,
-                            validate)
+                            validate, writhe_gamma)
 
 PREC = 32
 
@@ -46,6 +46,22 @@ def slice_mid(kind: str) -> Intertwiner:
 
 # adapters from full-width maps and module elements to the evaluator's
 # local maps and states
+def _make_local(source: tuple[int, ...], target: tuple[int, ...],
+                columns) -> _Local:
+    """The _Local of the map sending source index idx to the sum of c v_jdx
+    over the (jdx, c) of columns[idx], for nonzero exact integral series c.
+    A windowed series raises ValueError: a local map is exact."""
+    cols = {}
+    for idx, img in columns:
+        terms = []
+        for jdx, c in img:
+            if c.valid_to is not None:
+                raise ValueError(f"local map entry {c} is not exact")
+            terms.append((_key(jdx, target), c.coeffs, c.min_deg))
+        cols[_key(idx, source)] = tuple(terms)
+    return _Local.make(source, target, cols)
+
+
 @lru_cache(maxsize=None)
 def to_local(mid: Intertwiner) -> _Local:
     return _make_local(mid.source, mid.target,
@@ -116,6 +132,29 @@ class TestFramingCalibration:
         raw = phi_coloured(d, PREC)
         expected = Intertwiner.identity((1,)).scale(LaurentSeries.monomial(-3))
         assert raw.eq_upto(expected)
+
+    @pytest.mark.parametrize("prec", [16, 48])
+    def test_framing_shift_equals_the_product(self, prec):
+        # normalized_invariant shifts every entry by 3 gamma; the series
+        # product by q^(3 gamma) is the oracle, windows included
+        framed = windowed = 0
+        for seed in range(60):
+            rng = random.Random(seed)
+            colours = 1 + seed % 3
+            bottom = [BoundaryPoint(rng.randint(1, colours), rng.random() < 0.5)
+                      for _ in range(rng.randint(0, 3))]
+            for d in (random_diagram(bottom, 5, colours, seed, max_width=6),
+                      random_link(6, colours, seed, max_width=6)):
+                gamma = writhe_gamma(d)
+                want = phi_coloured(d, prec).scale(
+                    LaurentSeries.monomial(3 * gamma))
+                got = normalized_invariant(d, prec).value
+                assert got.to_json() == want.to_json(), (seed, d.name)
+                framed += gamma != 0
+                windowed += any(c.valid_to is not None
+                                for _, img in got.columns
+                                for _, c in img.coords)
+        assert framed > 20 and windowed > 5
 
     def test_flipped_sign_convention_breaks_calibration(self):
         d = parse("bottom +1\ncup 2 1 u\npos 1\ncap 2\n")

@@ -11,7 +11,9 @@ from qtangle.quiverkat import (euler_characteristic_vs_p2, gl2_algebra,
                                ext_self_L1, l1_resolution_report,
                                p12_printed_sign_discrepancies,
                                poincare_vs_paper, standard_modules_gl4)
+from qtangle.quiverkat import complexes as complexes_module
 from qtangle.quiverkat import gor as gor_module
+from qtangle.intertwiner import jones_wenzl
 from qtangle.qseries import bigraded_expand_homofunknot
 
 
@@ -48,7 +50,17 @@ class TestProjectorComplexes:
     def test_euler_characteristic_matches_p2(self):
         report = euler_characteristic_vs_p2(32)
         assert report["match"]
-        assert isinstance(report["q_power"], int)
+        assert report["q_power"] == 0
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_euler_characteristic_rejects_a_shifted_block(self, monkeypatch,
+                                                          shift):
+        # negative control: the documented q power is checked, not found by
+        # a scan, so a projector shifted by q^(+-1) must not match
+        monkeypatch.setattr(complexes_module, "jones_wenzl",
+                            lambda n, prec: jones_wenzl(n, prec).shift(shift))
+        report = euler_characteristic_vs_p2(32)
+        assert not report["match"] and report["q_power"] is None
 
 
 class TestGl4Corner:
