@@ -43,6 +43,12 @@ MIN_PRECISION = 8
 # trefoil takes 0.16-0.23 s and verify jones-wenzl --n 4 takes 4.5-6.6 s,
 # nearly all of it in series products
 MAX_PRECISION = 1024
+# the largest --n of verify jones-wenzl and verify slides: in a fresh
+# process on the same VM, at the default precision, jones-wenzl takes
+# 3.3 s at n = 6 and 19 s at n = 7, and slides 6.3 s at n = 8 and 19 s
+# at n = 9; each step up multiplies the work by about 3 to 6
+MAX_JONES_WENZL_N = 7
+MAX_SLIDES_N = 9
 
 _MOVES = {m.value: m for m in MoveKind}
 
@@ -218,8 +224,9 @@ def _cmd_verify_invariance(args) -> int:
 
 
 def _cmd_verify_jones_wenzl(args) -> int:
-    if args.n < 1:
-        return _invalid("verify jones-wenzl", "--n must be >= 1")
+    if not 1 <= args.n <= MAX_JONES_WENZL_N:
+        return _invalid("verify jones-wenzl",
+                        f"--n must be between 1 and {MAX_JONES_WENZL_N}")
     checks = []
     for n in range(1, args.n + 1):
         repro = f"qtangle verify jones-wenzl --n {n} --precision {args.precision}"
@@ -236,15 +243,18 @@ def _cmd_verify_jones_wenzl(args) -> int:
 
 
 def _cmd_verify_slides(args) -> int:
-    if args.n < 1:
-        return _invalid("verify slides", "--n must be >= 1")
+    # every term of the checks is exact: --precision is accepted, and kept
+    # in the repro line, but it changes nothing
+    if not 1 <= args.n <= MAX_SLIDES_N:
+        return _invalid("verify slides",
+                        f"--n must be between 1 and {MAX_SLIDES_N}")
     checks = []
     for n in range(1, args.n + 1):
         for k in range(1, n + 1):
             repro = f"qtangle verify slides --n {n} --precision {args.precision}"
             checks.append({
                 "name": f"divided-power slides across C_{n}, k={k}",
-                "ok": slide_identity_checks(n, k, args.precision),
+                "ok": slide_identity_checks(n, k),
                 "repro": repro})
     ok = all(c["ok"] for c in checks)
     report = {"command": "verify-slides", "checks": checks, "ok": ok}
@@ -360,6 +370,8 @@ def _cmd_quiver_check(args) -> int:
 
 
 def _cmd_unknot_homology(args) -> int:
+    if args.hmax < 2:
+        return _invalid("unknot-homology", "--hmax must be >= 2")
     repro = f"qtangle unknot-homology --hmax {args.hmax}"
     res = l1_resolution_report(args.hmax)
     checks = [
@@ -396,6 +408,9 @@ def _cmd_gor(args) -> int:
     if args.hbound < 0:
         return _invalid("gor", "--hbound must be >= 0; the window is "
                         "-hbound <= h <= 0")
+    if args.qbound < 0:
+        return _invalid("gor", "--qbound must be >= 0; the window is "
+                        "0 <= q <= qbound")
     repro = f"qtangle gor --hbound {args.hbound} --qbound {args.qbound}"
     d2 = gor_d_squared_zero(h_bound=-args.hbound, q_bound=args.qbound)
     hom = gor_homology(h_bound=-args.hbound, q_bound=args.qbound)

@@ -1,8 +1,11 @@
-"""Matrices of module maps: cups, caps, crossings, and Jones-Wenzl projectors.
+"""Matrices of module maps: Jones-Wenzl projectors and the checks on them.
 
 An Intertwiner is stored sparsely as the image of each source basis vector.
 All maps here preserve the K-weight, so a dense per-weight block view is
-also available (and is what the JSON dump exposes).
+also available (and is what the JSON dump exposes).  The colour-1 cups, caps
+and turnbacks that the Jones-Wenzl and slide checks need come from the
+evaluator, invariant.phi_coloured, the one place the package constructs
+slice maps.
 """
 
 from __future__ import annotations
@@ -16,11 +19,9 @@ from .uqsl2 import (ModuleElement, act, basis_indices, divided_power_act,
 
 __all__ = [
     "Intertwiner",
-    "cup", "cap", "cup_at", "cap_at", "turnback", "turnback_at",
-    "crossing_pos", "crossing_neg",
     "projection", "inclusion", "projection_list", "inclusion_list",
     "jones_wenzl", "jones_wenzl_divided",
-    "nested_cups", "slide_identity_checks", "positioned",
+    "nested_cups", "slide_identity_checks",
     "is_intertwiner", "charJW_check",
 ]
 
@@ -181,77 +182,6 @@ def _by_weight(colours: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
     return out
 
 
-# -- cups, caps, crossings ---------------------------------------------------
-
-def cup() -> Intertwiner:
-    """The map C -> V_1 (x) V_1, 1 |-> v_1 (x) v_0 - q v_0 (x) v_1."""
-    img = ModuleElement.make((1, 1), {(1, 0): LaurentSeries.one(),
-                                      (0, 1): LaurentSeries.monomial(1, -1)})
-    return Intertwiner.make((), (1, 1), {(): img})
-
-
-def cap() -> Intertwiner:
-    """The map V_1 (x) V_1 -> C: v_0 v_1 |-> 1, v_1 v_0 |-> -q^{-1}, v_i v_i |-> 0."""
-    one = ModuleElement.make((), {(): LaurentSeries.one()})
-    neg = ModuleElement.make((), {(): LaurentSeries.monomial(-1, -1)})
-    return Intertwiner.make((1, 1), (), {(0, 1): one, (1, 0): neg})
-
-
-def positioned(mid: Intertwiner, i: int, n_left_total: int) -> Intertwiner:
-    """Id^{(i-1)} (x) mid (x) Id^{rest} acting on V_1^{(x) n_left_total}."""
-    inner = len(mid.source)
-    right = n_left_total - (i - 1) - inner
-    if i < 1 or right < 0:
-        raise ValueError("position out of range")
-    out = mid
-    if i > 1:
-        out = Intertwiner.identity((1,) * (i - 1)).tensor(out)
-    if right > 0:
-        out = out.tensor(Intertwiner.identity((1,) * right))
-    return out
-
-
-def cup_at(i: int, n: int) -> Intertwiner:
-    """Insert a cup at position i on n uncoloured strands (result: n+2)."""
-    if not 1 <= i <= n + 1:
-        raise ValueError("cup position out of range")
-    return positioned(cup(), i, n)
-
-
-def cap_at(i: int, n: int) -> Intertwiner:
-    """Cap strands i, i+1 out of n uncoloured strands (result: n-2)."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("cap position out of range")
-    return positioned(cap(), i, n)
-
-
-def turnback() -> Intertwiner:
-    """C = cup o cap on two strands."""
-    return cup() @ cap()
-
-
-def turnback_at(i: int, n: int) -> Intertwiner:
-    return positioned(turnback(), i, n)
-
-
-def crossing_pos(n: int, i: int) -> Intertwiner:
-    """Pi_i = Id (x) (-q^{-1} C - q^{-2} Id) (x) Id on V_1^{(x) n}."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("crossing position out of range")
-    mid = turnback().scale(LaurentSeries.monomial(-1, -1)) + \
-        Intertwiner.identity((1, 1)).scale(LaurentSeries.monomial(-2, -1))
-    return positioned(mid, i, n)
-
-
-def crossing_neg(n: int, i: int) -> Intertwiner:
-    """Omega_i = Id (x) (-q C - q^2 Id) (x) Id on V_1^{(x) n}."""
-    if not 1 <= i <= n - 1:
-        raise ValueError("crossing position out of range")
-    mid = turnback().scale(LaurentSeries.monomial(1, -1)) + \
-        Intertwiner.identity((1, 1)).scale(LaurentSeries.monomial(2, -1))
-    return positioned(mid, i, n)
-
-
 # -- projection / inclusion / Jones-Wenzl ------------------------------------
 
 @lru_cache(maxsize=None)
@@ -339,24 +269,34 @@ def jones_wenzl_divided(n: int, precision: int = DEFAULT_PRECISION) -> Intertwin
 
 # -- nested cups and slide identities ----------------------------------------
 
+def _evaluate(word: str) -> Intertwiner:
+    """The evaluator's intertwiner of a diagram in the DSL.  invariant
+    imports this module, so the evaluator is imported here at call time."""
+    from .invariant import phi_coloured
+    from .tangle import parse
+    return phi_coloured(parse(word))
+
+
 @lru_cache(maxsize=None)
 def nested_cups(n: int) -> Intertwiner:
-    """C_n : C -> V_1^{(x) 2n}, n cups nested around a common centre."""
+    """C_n : C -> V_1^{(x) 2n}, n cups nested around a common centre: the
+    word ``cup k 1 u`` for k = 1..n on an empty bottom."""
     if n < 1:
         raise ValueError("n must be positive")
-    out = cup()
-    for k in range(1, n):
-        out = cup_at(k + 1, 2 * k) @ out
-    return out
+    return _evaluate("bottom\n" + "".join(f"cup {k} 1 u\n"
+                                          for k in range(1, n + 1)))
 
 
-def slide_identity_checks(n: int, k: int, precision: int = DEFAULT_PRECISION) -> bool:
+def slide_identity_checks(n: int, k: int) -> bool:
     """Verify the four divided-power slide identities against C_n:
 
     (F^{(k)} (x) 1) C_n = (-1)^k q^{k(k-1)} (K^k (x) F^{(k)}) C_n
     (E^{(k)} (x) 1) C_n = (-1)^k q^{-k(k-1)} (1 (x) K^k E^{(k)}) C_n
     (E^{(n)} F^{(n)} (x) 1) C_n = (1 (x) F^{(n)} E^{(n)}) (K^n (x) K^n) C_n
     (1_{-n+2k} (x) 1) C_n = (1 (x) 1_{n-2k}) C_n
+
+    Every term is exact: C_n, the closed divided powers, K powers and
+    weight projections, so the check takes no precision.
     """
     from .uqsl2 import act_on_range
     if not 1 <= k <= n:
@@ -422,15 +362,28 @@ def is_intertwiner(A: Intertwiner) -> bool:
     return True
 
 
+def _turnback_word(i: int, n: int) -> str:
+    """The word of the turnback C_(i,n) = cup o cap at strands i, i+1 of n:
+    ``cap i; cup i 1 u`` above points of alternating orientation, so that
+    points i and i+1 point opposite ways.  A colour-1 map does not read the
+    orientation (invariant._slice_key)."""
+    bottom = " ".join("-1" if j % 2 else "+1" for j in range(n))
+    return f"bottom {bottom}\ncap {i}\ncup {i} 1 u\n"
+
+
 def charJW_check(p: Intertwiner) -> bool:
-    """p o p = p, and p kills every turnback C_{i,n} on both sides."""
+    """p o p = p, and p kills every turnback C_{i,n} on both sides.
+
+    The turnbacks come from the evaluator, which keeps 2^n states of up to
+    2^n entries for one, so its MAX_STATE refuses them from n = 11 on.
+    """
     if p.source != p.target or any(d != 1 for d in p.source):
         raise ValueError("expected an endomorphism of V_1^{(x) n}")
     n = len(p.source)
     if not (p @ p).eq_upto(p):
         return False
     for i in range(1, n):
-        c = turnback_at(i, n)
+        c = _evaluate(_turnback_word(i, n))
         if not (c @ p).is_zero_upto() or not (p @ c).is_zero_upto():
             return False
     return True

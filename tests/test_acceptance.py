@@ -74,7 +74,7 @@ def test_04_jones_wenzl_characterization():
 
 
 def test_05_slide_identities():
-    ok = all(slide_identity_checks(n, k, PRECISION)
+    ok = all(slide_identity_checks(n, k)
              for n in range(1, 4) for k in range(1, n + 1))
     report(5, "divided-power slide identities across nested cups, "
               "n <= 3, all k <= n", ok)

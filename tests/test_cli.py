@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from qtangle import cli
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
-                         EXIT_VERIFY, MAX_PRECISION, MIN_PRECISION,
-                         PRECISION_ENV, build_parser, main)
+                         EXIT_VERIFY, MAX_JONES_WENZL_N, MAX_PRECISION,
+                         MAX_SLIDES_N, MIN_PRECISION, PRECISION_ENV,
+                         build_parser, main)
 from qtangle.intertwiner import Intertwiner
 
 UNKNOT = "bottom\ncup 1 1 u\ncap 1\n"
@@ -353,15 +354,30 @@ class TestVerify:
         ["verify", "invariance", "--moves", "kink-pair", "--flip-gamma",
          "--precision", "16"],
         ["gor", "--hbound", "-4"],
+        ["gor", "--hbound", "2", "--qbound", "-5"],
         ["grassmann", "--k", "1", "--n", "2", "--check-complex",
          "--hbound", "2"],
+        ["unknot-homology", "--hmax", "-1"],
+        ["unknot-homology", "--hmax", "0"],
+        ["unknot-homology", "--hmax", "1"],
     ], ids=["jones-wenzl-n0", "slides-n0", "trials0", "trials-neg",
             "colours0", "flip-gamma-without-r1", "gor-hbound-neg",
-            "grassmann-hbound-pos"])
+            "gor-qbound-neg", "grassmann-hbound-pos", "hmax-neg", "hmax0",
+            "hmax1"])
     def test_vacuous_or_invalid_request_exit_3(self, capsys, argv):
         code, out, err = run(capsys, argv)
         assert code == EXIT_VALIDATE
         assert out == "" and len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("suite,bound", [
+        ("jones-wenzl", MAX_JONES_WENZL_N), ("slides", MAX_SLIDES_N)])
+    def test_n_above_the_bound_exit_3_at_once(self, capsys, suite, bound):
+        t = time.perf_counter()
+        code, out, err = run(capsys, ["verify", suite, "--n", str(bound + 1),
+                                      "--precision", "16"])
+        assert time.perf_counter() - t < 1
+        assert code == EXIT_VALIDATE and out == ""
+        assert err.count("\n") == 1 and str(bound) in err
 
     def test_invariance_shortfall_fails(self, capsys):
         # r3 needs three crossings; a diagram with no slices has no site

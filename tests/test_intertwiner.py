@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle.intertwiner import (Intertwiner, cap, cap_at, charJW_check,
-                                 crossing_neg, crossing_pos, cup, cup_at,
-                                 inclusion, is_intertwiner, jones_wenzl,
-                                 jones_wenzl_divided, nested_cups, positioned,
-                                 projection, slide_identity_checks, turnback,
-                                 turnback_at)
+from qtangle.intertwiner import (Intertwiner, _evaluate, _turnback_word,
+                                 charJW_check, inclusion, is_intertwiner,
+                                 jones_wenzl, jones_wenzl_divided, nested_cups,
+                                 projection, slide_identity_checks)
 from qtangle.qseries import LaurentSeries, quantum_integer
 from qtangle.uqsl2 import ModuleElement, basis_indices
+
+from fullwidth import (cap, cap_at, crossing_neg, crossing_pos, cup, cup_at,
+                       positioned, turnback, turnback_at)
 
 PREC = 32
 
@@ -117,10 +118,38 @@ class TestNestedCupsAndSlides:
         expected = cup().scale(quantum_integer(2).scale(-1))
         assert out.eq_upto(expected)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_nested_cups_equal_the_full_width_composite(self, n):
+        expected = cup()
+        for k in range(1, n):
+            expected = cup_at(k + 1, 2 * k) @ expected
+        assert nested_cups(n) == expected
+        # a colour-1 cup reads no orientation
+        down = "".join(f"cup {k} 1 d\n" for k in range(1, n + 1))
+        assert _evaluate("bottom\n" + down) == expected
+
+    def test_turnbacks_equal_the_full_width_reference(self):
+        moved = 0
+        for n in range(2, 6):
+            for i in range(1, n):
+                word = _turnback_word(i, n)
+                assert _evaluate(word) == turnback_at(i, n), (i, n)
+                if i + 1 < n:
+                    # negative control: the cup one strand to the right
+                    wrong = _evaluate(word.replace(f"cup {i} ",
+                                                   f"cup {i + 1} "))
+                    assert wrong != turnback_at(i, n), (i, n)
+                    moved += 1
+        assert moved == 6
+
+    def test_identity_does_not_kill_turnbacks(self):
+        # idempotent, but not a Jones-Wenzl projector
+        assert not charJW_check(Intertwiner.identity((1, 1, 1)))
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_slide_identities(self, n):
         for k in range(1, n + 1):
-            assert slide_identity_checks(n, k, PREC)
+            assert slide_identity_checks(n, k)
 
 
 class TestAlgebraOfMaps:

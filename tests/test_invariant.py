@@ -7,9 +7,7 @@ from functools import lru_cache
 
 import pytest
 
-from qtangle.intertwiner import (Intertwiner, cap, crossing_neg,
-                                  crossing_pos, cup, inclusion, positioned,
-                                  projection)
+from qtangle.intertwiner import Intertwiner, inclusion, projection
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
                                _apply_all, _apply_local, _basis_states,
                                _coloured_local, _divide, _element, _finish,
@@ -22,6 +20,8 @@ from qtangle.uqsl2 import ModuleElement, basis_indices, seq_stats, weight
 from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                             cable, parse, random_diagram, random_link,
                             validate, writhe_gamma)
+
+from fullwidth import cap, crossing_neg, crossing_pos, cup, positioned
 
 PREC = 32
 
