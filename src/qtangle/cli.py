@@ -40,14 +40,19 @@ PRECISION_ENV = "QTANGLE_PRECISION"
 MIN_PRECISION = 8
 # a bound on the work one request can ask for: at this precision, in a
 # fresh process on a 2-vCPU VM with Python 3.11, eval of the colour-3
-# trefoil takes 0.16-0.23 s and verify jones-wenzl --n 4 takes 4.5-6.6 s,
-# nearly all of it in series products
+# trefoil takes 0.19-0.26 s and verify jones-wenzl --n 4 takes 1.2-1.7 s,
+# most of it in the packed products of charJW_check's compositions
 MAX_PRECISION = 1024
-# the largest --n of verify jones-wenzl and verify slides: in a fresh
-# process on the same VM, at the default precision, jones-wenzl takes
-# 3.3 s at n = 6 and 19 s at n = 7, and slides 6.3 s at n = 8 and 19 s
-# at n = 9; each step up multiplies the work by about 3 to 6
-MAX_JONES_WENZL_N = 7
+# verify jones-wenzl takes on only 4^n times --precision below this: p_n
+# has 4^n entries, each a series of up to --precision coefficients.  In a
+# fresh process on the same VM the largest requests it lets through, n = 7
+# at precision 31, n = 6 at 127 and n = 5 at 511, take 3.1-3.5 s.  At 2^19
+# itself n = 8 at precision 8 takes 8.6-10.1 s, more than n = 7 at the
+# default precision (7.6-8.8 s), and at 2^20 n = 8 at 16 takes 14.7 s
+JONES_WENZL_WORK_LIMIT = 2 ** 19
+# the largest --n of verify slides: in a fresh process on the same VM
+# slides takes 6.3 s at n = 8 and 19 s at n = 9; each step up multiplies
+# the work by about 3 to 6
 MAX_SLIDES_N = 9
 
 _MOVES = {m.value: m for m in MoveKind}
@@ -224,9 +229,11 @@ def _cmd_verify_invariance(args) -> int:
 
 
 def _cmd_verify_jones_wenzl(args) -> int:
-    if not 1 <= args.n <= MAX_JONES_WENZL_N:
+    # 4^n p < W exactly when p < W >> 2n, which takes no big power of 4
+    if args.n < 1 or args.precision >= JONES_WENZL_WORK_LIMIT >> 2 * args.n:
         return _invalid("verify jones-wenzl",
-                        f"--n must be between 1 and {MAX_JONES_WENZL_N}")
+                        f"--n must be at least 1, and 4^n times --precision "
+                        f"below {JONES_WENZL_WORK_LIMIT}")
     checks = []
     for n in range(1, args.n + 1):
         repro = f"qtangle verify jones-wenzl --n {n} --precision {args.precision}"

@@ -2,10 +2,12 @@
 
 An Intertwiner is stored sparsely as the image of each source basis vector.
 All maps here preserve the K-weight, so a dense per-weight block view is
-also available (and is what the JSON dump exposes).  The colour-1 cups, caps
-and turnbacks that the Jones-Wenzl and slide checks need come from the
-evaluator, invariant.phi_coloured, the one place the package constructs
-slice maps.
+also available (and is what the JSON dump exposes).  apply, and with it
+compose and @, and scale multiply through uqsl2.scaled_sum: one multiply of
+packed ints per entry and factor, integer coefficients only, which every
+map the package builds has.  The colour-1 cups, caps and turnbacks that the
+Jones-Wenzl and slide checks need come from the evaluator,
+invariant.phi_coloured, the one place the package constructs slice maps.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from functools import lru_cache
 
 from .qseries import DEFAULT_PRECISION, LaurentSeries, quantum_binomial
 from .uqsl2 import (ModuleElement, act, basis_indices, divided_power_act,
-                    seq_stats, weight, weight_projector)
+                    scaled_sum, seq_stats, weight, weight_projector)
 
 __all__ = [
     "Intertwiner",
@@ -68,15 +70,13 @@ class Intertwiner:
         return ModuleElement.zero(self.target)
 
     def apply(self, x: ModuleElement) -> ModuleElement:
+        """The image of x: the sum of column idx times x's entry at idx, by
+        uqsl2.scaled_sum, so integer coefficients only."""
         if x.colours != self.source:
             raise ValueError("element not in the source of this map")
-        out = ModuleElement.zero(self.target)
         cols = dict(self.columns)
-        for idx, c in x.coords:
-            img = cols.get(idx)
-            if img is not None:
-                out = out + img.scale(c)
-        return out
+        return scaled_sum(self.target, ((cols[idx], c) for idx, c in x.coords
+                                        if idx in cols))
 
     def compose(self, other: "Intertwiner") -> "Intertwiner":
         """self o other (apply ``other`` first)."""
@@ -298,7 +298,6 @@ def slide_identity_checks(n: int, k: int) -> bool:
     Every term is exact: C_n, the closed divided powers, K powers and
     weight projections, so the check takes no precision.
     """
-    from .uqsl2 import act_on_range
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     c = nested_cups(n).column(())
@@ -309,10 +308,11 @@ def slide_identity_checks(n: int, k: int) -> bool:
         return divided_power_act_closed(gen, kk, x, lo, hi)
 
     def kpow(x, power, lo, hi):
-        gen = "K" if power >= 0 else "Kinv"
-        for _ in range(abs(power)):
-            x = act_on_range(gen, x, lo, hi)
-        return x
+        # K^power on slots lo..hi-1 multiplies v_i by q^(power mu), mu the
+        # weight of i on those slots: one shift per entry
+        return ModuleElement(x.colours, tuple(
+            (i, v.shift(power * weight(x.colours[lo:hi], i[lo:hi])))
+            for i, v in x.coords))
 
     # F slide
     lhs = dp("F", k, c, 0, n)

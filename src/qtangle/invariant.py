@@ -19,8 +19,9 @@ mixed-radix int, the entry's integer coefficients packed into one int.  An
 open tangle's source vector v_k enters as [m, k] w_k on a down point, and
 _apply_local maps one state to the next with one big-int multiply per
 product.  _finish makes the columns series once, dividing each entry on down
-target points back: exactly when the quotient is a Laurent polynomial, else
-expanded to ``precision`` coefficients, the one place a window is made.
+target points back by long division: exactly when the quotient is a Laurent
+polynomial, else expanded to ``precision`` coefficients, the one place a
+window is made.  So evaluation makes no series product.
 normalized_invariant applies the framing q^(3 gamma), with gamma from
 tangle.writhe_gamma, as a shift of every entry.  phi_coloured refuses,
 before any work, a diagram whose slice states, one per source basis vector,
@@ -264,19 +265,27 @@ def _apply_all(local: _Local, i: int, columns: dict) -> dict:
 def _divide(c: LaurentSeries, d: LaurentSeries,
             precision: int) -> LaurentSeries:
     """c / d for integral c and d, d's lowest coefficient 1: exact when d
-    divides c, else expanded to ``precision`` coefficients.  Long division
-    from the lowest degree up divides no coefficient."""
+    divides c, else expanded to ``precision`` coefficients, up to degree
+    c.min_deg - d.min_deg + precision - 1.  Long division from the lowest
+    degree up divides no coefficient and makes no series product."""
     r = list(c.coeffs)
     n = len(r) - len(d.coeffs) + 1
     tail = [(j, b) for j, b in enumerate(d.coeffs) if j and b]
-    for i in range(n):
-        a = r[i]
-        if a:
-            for j, b in tail:
-                r[i + j] -= a * b
+
+    def step(lo, hi):
+        for i in range(lo, hi):
+            a = r[i]
+            if a:
+                for j, b in tail:
+                    r[i + j] -= a * b
+
+    step(0, n)
+    lo = c.min_deg - d.min_deg
     if n > 0 and not any(r[n:]):
-        return LaurentSeries(c.min_deg - d.min_deg, tuple(r[:n]))
-    return c * d.invert(precision)
+        return LaurentSeries(lo, tuple(r[:n]))
+    r += [0] * (precision + len(d.coeffs) - 1 - len(r))
+    step(max(n, 0), precision)
+    return LaurentSeries.make(lo, r[:max(precision, 0)], lo + precision - 1)
 
 
 def _finish(src: tuple[int, ...], top: tuple[BoundaryPoint, ...],

@@ -30,7 +30,11 @@ WORD = 64
 def width(bound: int) -> int:
     """The narrowest digit width, a multiple of WORD, whose balanced digits
     hold every coefficient of absolute value at most ``bound``: bound is
-    below 2^(bits-1)."""
+    below 2^(bits-1).  A bound that is not an int, as the L1 norm of
+    Fraction coefficients is not, raises TypeError."""
+    if type(bound) is not int:
+        raise TypeError(f"only integer coefficients pack, not a bound of "
+                        f"{bound!r}")
     return WORD * (bound.bit_length() // WORD + 1)
 
 

@@ -10,11 +10,14 @@ A coefficient is a Python ``int`` when it is integral and a ``Fraction``
 otherwise; every true division goes through ``Fraction``, so no float ever
 appears.  The invariants are integral, so the hot path runs on ints.
 
-A product of two series goes through one convolution kernel,
-``convolve_into``, which works on the degree -> coefficient form of a
-series (``support()``) and is windowed by ``product_window``.  The local
-maps of ``invariant`` do not build series: their evaluation states pack each
-entry's integer coefficients into one int (``packing``) and multiply those.
+A product of two lone series, ``LaurentSeries.__mul__``, goes through the
+convolution kernel ``convolve_into``, which works on the degree ->
+coefficient form of a series (``support()``) and is windowed by
+``product_window``.  The products in bulk do not: the evaluation states of
+``invariant`` and the module maps of ``uqsl2.scaled_sum`` (the scale, apply
+and composition of ``uqsl2`` and ``intertwiner``) pack each entry's integer
+coefficients into one int (``packing``) and multiply those, windowed by the
+same ``product_window``.
 """
 
 from __future__ import annotations

@@ -443,25 +443,25 @@ def random_diagram(bottom, n_slices: int, max_colour: int, seed: int,
     state = list(bottom)
     slices: list[Slice] = []
     for _ in range(n_slices):
-        options: list[Slice] = []
+        options: list[tuple] = []
         n = len(state)
         width = sum(p.colour for p in state)
         if width + 2 * max_colour <= max_width + 2:
             for i in range(1, n + 2):
                 m = rng.randint(1, max_colour)
-                options.append(Slice("cup", i, m, rng.random() < 0.5))
+                options.append(("cup", i, m, rng.random() < 0.5))
         for i in range(1, n):
             a, b = state[i - 1], state[i]
             if a.colour == b.colour and a.up != b.up:
-                options.append(Slice("cap", i))
-            options.append(Slice("pos", i))
-            options.append(Slice("neg", i))
+                options.append(("cap", i))
+            options.append(("pos", i))
+            options.append(("neg", i))
         if not options:
             # forced cup on a stuck state; keep it inside the width budget
             m = min(rng.randint(1, max_colour),
                     max((max_width + 2 - width) // 2, 1))
-            options.append(Slice("cup", 1, m, rng.random() < 0.5))
-        s = rng.choice(options)
+            options.append(("cup", 1, m, rng.random() < 0.5))
+        s = Slice(*rng.choice(options))
         slices.append(s)
         state = _step(state, s, len(slices) - 1)
     return ColouredDiagram(f"random-{seed}", bottom, tuple(slices))

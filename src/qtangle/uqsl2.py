@@ -10,16 +10,24 @@ and on tensor products it is given by the iterated comultiplication
     Delta(E) = 1 (x) E + E (x) K^{-1},
     Delta(F) = K (x) F + F (x) 1,
     Delta(K^{+-1}) = K^{+-1} (x) K^{+-1}.
+
+scaled_sum, under ModuleElement.scale and intertwiner's Intertwiner.apply,
+multiplies elements by series as packed ints (packing), so it takes integer
+coefficients only: every map the package builds is integral, since each
+series it inverts has lowest coefficient 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .qseries import LaurentSeries, quantum_binomial, quantum_factorial, quantum_integer
+from .packing import low_digit, pack, unpack, width
+from .qseries import (LaurentSeries, product_window, quantum_binomial,
+                      quantum_factorial, quantum_integer)
 
 __all__ = [
     "ModuleElement",
+    "scaled_sum",
     "act",
     "act_on_range",
     "divided_power_act",
@@ -98,7 +106,9 @@ class ModuleElement:
         return ModuleElement.make(self.colours, d)
 
     def scale(self, s: LaurentSeries) -> "ModuleElement":
-        return ModuleElement.make(self.colours, {i: c * s for i, c in self.coords})
+        """s times this element; an entry or s with a Fraction coefficient
+        raises TypeError (scaled_sum)."""
+        return scaled_sum(self.colours, ((self, s),))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + other.scale(LaurentSeries.monomial(0, -1))
@@ -116,6 +126,53 @@ class ModuleElement:
 
     def to_json(self) -> list[dict]:
         return [{"index": list(i), "series": c.to_json()} for i, c in self.coords]
+
+
+def scaled_sum(colours, terms) -> ModuleElement:
+    """The sum of x.scale(c) over the (x, c) pairs of ``terms``, every x in
+    the tensor product of these colours.
+
+    Each factor is packed once, with one digit width for all of them, from
+    the sum over the pairs of L1(c) times L1(x), which bounds every
+    coefficient of every partial sum.  An output entry is then one multiply
+    of packed ints per contributing pair, its sum kept packed from its
+    lowest degree so far and moved up when a lower term arrives, and it is
+    unpacked once.  Its window is the smallest product_window of its terms,
+    so a sum that vanishes on its window keeps it.  Integer coefficients
+    only: a Fraction raises TypeError, as in packing.pack.
+    """
+    terms = [(x.coords, c) for x, c in terms]
+    bits = width(sum(sum(map(abs, c.coeffs))
+                     * sum(sum(map(abs, a.coeffs)) for _, a in coords)
+                     for coords, c in terms))
+    acc: dict[tuple[int, ...], list] = {}
+    get = acc.get
+    for coords, c in terms:
+        pc, lc, vc = pack(c.coeffs, bits), c.min_deg, c.valid_to
+        for idx, a in coords:
+            lo = a.min_deg + lc
+            p = pack(a.coeffs, bits) * pc
+            v = product_window(a.min_deg, a.valid_to, lc, vc)
+            got = get(idx)
+            if got is None:
+                acc[idx] = [lo, p, v]
+                continue
+            if lo >= got[0]:
+                got[1] += p << bits * (lo - got[0])
+            else:
+                got[0], got[1] = lo, (got[1] << bits * (got[0] - lo)) + p
+            if v is not None and (got[2] is None or v < got[2]):
+                got[2] = v
+    out = []
+    for idx, (lo, p, v) in sorted(acc.items()):
+        if p:
+            j = low_digit(p, bits)
+            cs = unpack(p >> bits * j, bits)
+            out.append((idx, LaurentSeries(lo + j, tuple(cs)) if v is None
+                        else LaurentSeries.make(lo + j, cs, v)))
+        elif v is not None:
+            out.append((idx, LaurentSeries.zero(v)))
+    return ModuleElement(tuple(colours), tuple(out))
 
 
 def _act_index(gen: str, colours, index, lo: int, hi: int):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qtangle import cli
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
-                         EXIT_VERIFY, MAX_JONES_WENZL_N, MAX_PRECISION,
+                         EXIT_VERIFY, JONES_WENZL_WORK_LIMIT, MAX_PRECISION,
                          MAX_SLIDES_N, MIN_PRECISION, PRECISION_ENV,
                          build_parser, main)
 from qtangle.intertwiner import Intertwiner
@@ -369,8 +369,33 @@ class TestVerify:
         assert code == EXIT_VALIDATE
         assert out == "" and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("suite,bound", [
-        ("jones-wenzl", MAX_JONES_WENZL_N), ("slides", MAX_SLIDES_N)])
+    @pytest.mark.parametrize("n,precision", [
+        (5, 512), (7, 32), (8, 8), (10 ** 9, 8)])
+    def test_jones_wenzl_over_the_work_limit_exit_3_at_once(
+            self, capsys, monkeypatch, n, precision):
+        # the limit is checked before any work: here building a projector
+        # raises, so a request let through fails the test at once
+        def build(*args):
+            raise AssertionError("jones_wenzl called")
+
+        monkeypatch.setattr(cli, "jones_wenzl", build)
+        code, out, err = run(capsys, ["verify", "jones-wenzl", "--n", str(n),
+                                      "--precision", str(precision)])
+        assert code == EXIT_VALIDATE and out == ""
+        assert err.count("\n") == 1 and str(JONES_WENZL_WORK_LIMIT) in err
+
+    @pytest.mark.parametrize("n,precision", [(4, 1024), (5, 511), (7, 31)])
+    def test_jones_wenzl_under_the_work_limit_runs(self, capsys, monkeypatch,
+                                                   n, precision):
+        def build(*args):
+            raise LookupError("jones_wenzl called")
+
+        monkeypatch.setattr(cli, "jones_wenzl", build)
+        with pytest.raises(LookupError):
+            run(capsys, ["verify", "jones-wenzl", "--n", str(n),
+                         "--precision", str(precision)])
+
+    @pytest.mark.parametrize("suite,bound", [("slides", MAX_SLIDES_N)])
     def test_n_above_the_bound_exit_3_at_once(self, capsys, suite, bound):
         t = time.perf_counter()
         code, out, err = run(capsys, ["verify", suite, "--n", str(bound + 1),

@@ -1,6 +1,7 @@
 """Cups, caps, crossings, projections, Jones-Wenzl projectors, slide checks."""
 
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from qtangle.intertwiner import (Intertwiner, _evaluate, _turnback_word,
                                  jones_wenzl, jones_wenzl_divided, nested_cups,
                                  projection, slide_identity_checks)
 from qtangle.qseries import LaurentSeries, quantum_integer
-from qtangle.uqsl2 import ModuleElement, basis_indices
+from qtangle.uqsl2 import ModuleElement, basis_indices, scaled_sum
 
 from fullwidth import (cap, cap_at, crossing_neg, crossing_pos, cup, cup_at,
                        positioned, turnback, turnback_at)
@@ -204,3 +205,112 @@ class TestAlgebraOfMaps:
         assert time.monotonic() - t0 < 1
         assert sorted(blocks) == list(range(-1000, 1001, 2))
         assert all(b == [[LaurentSeries.one()]] for b in blocks.values())
+
+
+# -- the packed products against series arithmetic ---------------------------
+
+def series():
+    """Integer series: exact or windowed, any sign, small or wider than a
+    machine word, at different lowest degrees, zero on a window too."""
+    coeff = st.integers(-9, 9) | st.integers(-2 ** 70, 2 ** 70)
+    return st.builds(
+        lambda lo, cs, top: LaurentSeries.make(
+            lo, cs, None if top is None else lo + top),
+        st.integers(-6, 6), st.lists(coeff, max_size=5),
+        st.none() | st.integers(-2, 6))
+
+
+def elements(colours):
+    idx = list(basis_indices(colours))
+    return st.dictionaries(st.sampled_from(idx), series(), max_size=len(idx)) \
+        .map(lambda d: ModuleElement.make(colours, d))
+
+
+def maps(source, target):
+    idx = list(basis_indices(source))
+    return st.dictionaries(st.sampled_from(idx), elements(target),
+                           max_size=len(idx)) \
+        .map(lambda d: Intertwiner.make(source, target, d))
+
+
+def reference_sum(colours, terms) -> ModuleElement:
+    """The sum of x times c over the pairs (x, c), entry by entry, by the
+    series product and sum."""
+    out = {}
+    for x, c in terms:
+        for idx, a in x.coords:
+            t = a * c
+            out[idx] = out[idx] + t if idx in out else t
+    return ModuleElement.make(colours, out)
+
+
+def reference_apply(f: Intertwiner, x: ModuleElement) -> ModuleElement:
+    cols = dict(f.columns)
+    return reference_sum(f.target, [(cols[i], c) for i, c in x.coords
+                                    if i in cols])
+
+
+A, B, C = (1, 1), (2,), (1,)
+
+
+class TestPackedProducts:
+    """ModuleElement.scale, Intertwiner.apply, compose and scale, which
+    multiply packed ints (uqsl2.scaled_sum), equal the series arithmetic."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(elements(A), series())
+    def test_scale(self, x, s):
+        assert x.scale(s) == reference_sum(A, [(x, s)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(maps(A, B), elements(A))
+    def test_apply(self, f, x):
+        assert f.apply(x) == reference_apply(f, x)
+
+    @settings(max_examples=40, deadline=None)
+    @given(maps(A, B), maps(C, A), series())
+    def test_compose_and_scale(self, f, g, s):
+        want = Intertwiner.make(C, B, {i: reference_apply(f, img)
+                                       for i, img in g.columns})
+        assert f @ g == want
+        assert f.scale(s) == Intertwiner.make(A, B, {
+            i: reference_sum(B, [(img, s)]) for i, img in f.columns})
+
+    @settings(max_examples=40, deadline=None)
+    @given(elements(A), series())
+    def test_sum_that_vanishes_keeps_its_window(self, x, s):
+        # x s + x (-s): every entry cancels, and one with a window stays a
+        # zero there
+        neg = s.scale(-1)
+        got = scaled_sum(A, [(x, s), (x, neg)])
+        assert got == reference_sum(A, [(x, s), (x, neg)])
+        assert all(not c.coeffs and c.valid_to is not None
+                   for _, c in got.coords)
+
+    def test_terms_in_any_degree_order(self):
+        # a pair whose product starts below the sum so far moves the sum up
+        x = ModuleElement.make(C, {(0,): LaurentSeries.make(5, [1, 2])})
+        y = ModuleElement.make(C, {(0,): LaurentSeries.make(0, [3, -4], 9)})
+        s = LaurentSeries.make(-2, [1, 0, -5])
+        for terms in ([(x, s), (y, s)], [(y, s), (x, s)]):
+            got = scaled_sum(C, terms)
+            assert got == reference_sum(C, terms)
+            assert got.coords[0][1] == LaurentSeries.make(
+                -2, [3, -4, -15, 20, 0, 1, 2, -5, -10], 7)
+
+    def test_cancelling_columns(self):
+        # q (1 + O(q^2)) - q (1 + O(q^2)) is 0 + O(q^3), not an exact zero
+        f = Intertwiner.make(A, C, {
+            (0, 0): ModuleElement.make(C, {(0,): LaurentSeries.monomial(1)}),
+            (0, 1): ModuleElement.make(C, {(0,): LaurentSeries.monomial(1, -1)})})
+        x = ModuleElement.make(A, {(0, 0): LaurentSeries.make(0, [1], 1),
+                                   (0, 1): LaurentSeries.make(0, [1], 1)})
+        assert f.apply(x) == ModuleElement.make(C, {(0,): LaurentSeries.zero(2)})
+
+    def test_fraction_coefficient_raises(self):
+        # only integer coefficients pack
+        half = LaurentSeries.make(0, [Fraction(1, 2)])
+        with pytest.raises(TypeError):
+            ModuleElement.basis_vector(C, (1,)).scale(half)
+        with pytest.raises(TypeError):
+            Intertwiner.identity(C).apply(ModuleElement.make(C, {(1,): half}))

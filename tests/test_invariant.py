@@ -6,6 +6,8 @@ import time
 from functools import lru_cache
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qtangle.intertwiner import Intertwiner, inclusion, projection
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
@@ -531,6 +533,38 @@ class TestDivide:
         assert got.valid_to is not None
         assert got.valid_to - got.min_deg + 1 == 8
         assert (got * d).eq_upto(c)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=12),
+           st.integers(-8, 8), st.lists(st.tuples(
+               st.integers(1, 6), st.integers(0, 6)), min_size=1, max_size=3),
+           st.booleans(), st.sampled_from([1, 4, 8, 16]))
+    def test_against_the_inverse(self, cs, lo, rows, multiple, precision):
+        # d a product of binomials, as _lattice makes; c a multiple of d or
+        # any polynomial, shorter than d too.  The reference is the series
+        # product with the inverse, which an inexact quotient equals
+        d = LaurentSeries.one()
+        for n, k in rows:
+            d = d * binomial_row(n)[min(k, n)]
+        c = LaurentSeries.make(lo, cs)
+        assume(not c.is_zero())
+        if multiple:
+            c = c * d
+        got = _divide(c, d, precision)
+        if got.valid_to is None:
+            assert got * d == c
+        else:
+            assert got == c * d.invert(precision)
+        if multiple:
+            assert got.valid_to is None
+
+    def test_dividend_shorter_than_divisor(self):
+        # 1 / [3, 1] = q^2 / (1 + q^2 + q^4): no quotient is exact, and
+        # the expansion still has ``precision`` coefficients
+        d = binomial_row(3)[1]
+        got = _divide(LaurentSeries.one(), d, 6)
+        assert got == LaurentSeries.make(2, [1, 0, -1, 0, 0, 0], 7)
+        assert got == LaurentSeries.one() * d.invert(6)
 
 
 class TestIntegrality:
