@@ -2,11 +2,13 @@
 
 Shared plumbing for the commutative-algebra checks: polynomial rings with
 rational coefficients, exact long division, and the one echelon routine of
-the package.  A polynomial coefficient is an ``int`` when it is integral
-and a ``Fraction`` otherwise, as in ``qseries``; no float ever appears.
-``Span`` keeps a sparse echelon basis (vectors are dicts key -> Fraction,
-the pivot of a row is its least key) and grows it one vector at a time;
-``rref``, ``rank`` and ``nullspace`` read it off for a list of sparse rows.
+the package.  A coefficient is an ``int`` when it is integral and a
+``Fraction`` otherwise, as in ``qseries``; no float ever appears.
+``Span`` keeps a sparse echelon basis of primitive integer rows (vectors
+are dicts key -> int or Fraction, the pivot of a row is its least key),
+grows it one vector at a time by fraction-free elimination, and returns
+the exact residue of a vector modulo it; ``rref``, ``rank`` and
+``nullspace`` read it off for a list of sparse rows.
 Callers key rows by the objects they already index (monomials, chain-basis
 entries, candidate paths), so no dense matrix or column map is ever built.
 """
@@ -15,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .qseries import _coef
 
@@ -145,12 +148,16 @@ class Poly:
 
 
 class Span:
-    """Echelonized span of sparse vectors (dict key -> Fraction).
+    """Echelonized span of sparse vectors (dict key -> int or Fraction).
 
-    rows maps each pivot key to its row, which has coefficient 1 at the
-    pivot, its least key, and 0 at every other pivot; adding a vector
-    updates older rows in place.  Keys of one span must be mutually
-    comparable; their order fixes the pivots.
+    rows maps each pivot key to its row, a primitive integer vector: the
+    gcd of its entries is 1, its pivot, its least key, holds a positive
+    entry, and it is 0 at every other pivot.  Adding a vector reduces older
+    rows against it.  Elimination is fraction-free (E. Bareiss, Math. Comp.
+    22, 1968): a vector with Fraction entries is first multiplied by the
+    lcm of its denominators, and one step is v <- a*v - b*row with a and b
+    divided by their gcd.  Keys of one span must be mutually comparable;
+    their order fixes the pivots.
     """
 
     def __init__(self, vectors=()):
@@ -158,35 +165,75 @@ class Span:
         for v in vectors:
             self.add(v)
 
-    def reduce(self, v) -> dict:
-        """Residue of v modulo the span; empty exactly when v lies in it."""
-        v = {k: c for k, c in v.items() if c}
+    def _residue(self, v) -> tuple[dict, int]:
+        """(w, s): s > 0 times the residue of v modulo the span, as an
+        integer vector w, zeros dropped."""
+        w = {k: c for k, c in v.items() if c}
+        s = 1
+        if any(type(c) is not int for c in w.values()):
+            # an int's denominator is 1
+            s = lcm(*(c.denominator for c in w.values()))
+            w = {k: c.numerator * (s // c.denominator) for k, c in w.items()}
+        rows = self.rows
         # the rows vanish at each other's pivots, so one pass over the
-        # pivots v starts with clears every pivot
-        for p in sorted(self.rows.keys() & v.keys()):
-            _subtract(v, v[p], self.rows[p])
-        return v
+        # pivots w starts with clears every pivot
+        for p in sorted(rows.keys() & w.keys()):
+            row = rows[p]
+            a, b = _coprime(row[p], w[p])
+            if a != 1:
+                s *= a
+                w = {k: a * c for k, c in w.items()}
+            _subtract(w, b, row)
+        return w, s
+
+    def reduce(self, v) -> dict:
+        """The exact residue of v modulo the span, linear in v: v minus the
+        combination of rows that clears every pivot.  Empty exactly when v
+        lies in the span; entries are ints when integral."""
+        return _divided(*self._residue(v))
 
     def add(self, v) -> bool:
         """Add v to the span; False when it was already in it."""
-        r = self.reduce(v)
+        r, _ = self._residue(v)
         if not r:
             return False
         p = min(r)
-        inv = _coef(1 / Fraction(r[p]))
-        new = self.rows[p] = {k: c * inv for k, c in r.items()}
+        new = self.rows[p] = _primitive(r, r[p])
         # keep older rows reduced against the new pivot
-        for row in self.rows.values():
+        for q, row in self.rows.items():
             if row is not new and p in row:
-                _subtract(row, row[p], new)
+                a, b = _coprime(new[p], row[p])
+                row = {k: a * c for k, c in row.items()} if a != 1 else row
+                _subtract(row, b, new)
+                self.rows[q] = _primitive(row, row[q])
         return True
 
     def contains(self, v) -> bool:
-        return not self.reduce(v)
+        return not self._residue(v)[0]
 
     @property
     def dim(self) -> int:
         return len(self.rows)
+
+
+def _coprime(a: int, b: int) -> tuple[int, int]:
+    """a and b divided by their gcd, for the step v <- a*v - b*row."""
+    g = gcd(a, b)
+    return (a, b) if g == 1 else (a // g, b // g)
+
+
+def _primitive(v: dict, lead: int) -> dict:
+    """The integer vector v divided by the gcd of its entries, with the
+    sign that makes its entry ``lead`` positive."""
+    g = gcd(*v.values())
+    if lead < 0:
+        g = -g
+    return v if g == 1 else {k: c // g for k, c in v.items()}
+
+
+def _divided(v: dict, s: int) -> dict:
+    """The integer vector v divided by s, entries ints when integral."""
+    return v if s == 1 else {k: _coef(Fraction(c, s)) for k, c in v.items()}
 
 
 def _subtract(v: dict, c, row: dict) -> None:
@@ -200,18 +247,20 @@ def _subtract(v: dict, c, row: dict) -> None:
 
 
 def rref(rows) -> dict:
-    """Reduced row echelon form of sparse rows (dict key -> Fraction).
+    """Reduced row echelon form of sparse rows (dict key -> int or Fraction).
 
     Returns pivot key -> reduced row, pivots and the keys of each row in
-    ascending order.  A row's pivot is its least key, so this is the usual
-    reduced echelon form for columns in key order.
+    ascending order; entries are ints when integral.  A row's pivot is its
+    least key and holds 1, so this is the usual reduced echelon form for
+    columns in key order.
     """
     red = Span(rows).rows
-    return {p: dict(sorted(red[p].items())) for p in sorted(red)}
+    return {p: _divided(dict(sorted(red[p].items())), red[p][p])
+            for p in sorted(red)}
 
 
 def rank(rows) -> int:
-    return len(rref(rows))
+    return Span(rows).dim
 
 
 def nullspace(rows, ncols: int) -> list[dict]:
@@ -222,7 +271,7 @@ def nullspace(rows, ncols: int) -> list[dict]:
     for f in range(ncols):
         if f in red:
             continue
-        v = {f: Fraction(1)}
+        v = {f: 1}
         for p, row in red.items():
             if f in row:
                 v[p] = -row[f]

@@ -290,25 +290,44 @@ class WolffhardtComplex:
                 out.append((pair, g, hh.qdeg(pair) + gq))
         return out
 
-    def _matrix(self, h: int, hh: TensorSquare, src) -> list[dict]:
-        """Differential C_h -> C_{h+1} on the src entries, as one sparse row
-        per source vector keyed by (pair, generator) target entries (so rank
-        computations read it as a row span)."""
+    def _matrix(self, src, terms, products: "_Products") -> list[dict]:
+        """A differential C_h -> C_{h+1} on the src entries, as one sparse
+        row per source vector keyed by (pair, generator) target entries (so
+        rank computations read it as a row span).
+
+        terms maps each generator of degree h to its image split into
+        (target generator, left exponents, right exponents, coefficient),
+        one tuple per term of each Poly coefficient, so the entry of a
+        source pair (a0, b0) is the sum of c * products[a0, left] (x)
+        products[b0, right]: no Poly is built per row.
+        """
         rows = []
-        k = self.H.k
-        for pair, g, qq in src:
+        for (a0, b0), g, _ in src:
             row: dict = {}
-            mono = Poly.monomial(2 * k, pair[0] + pair[1])
-            for g1, coeff in self.differentials[h].get(g, {}).items():
-                for tpair, c in hh.reduce(mono * coeff).items():
-                    row[(tpair, g1)] = row.get((tpair, g1), 0) + c
-            rows.append(row)
+            for g1, left, right, c in terms.get(g, ()):
+                rs = products[b0, right]
+                for a, ca in products[a0, left].items():
+                    cca = c * ca
+                    for b, cb in rs.items():
+                        key = ((a, b), g1)
+                        row[key] = row.get(key, 0) + cca * cb
+            rows.append({key: c for key, c in row.items() if c})
         return rows
+
+    def _split_terms(self, h: int) -> dict:
+        """The differential on degree h as _matrix reads it: per generator,
+        (target generator, left exponents, right exponents, coefficient)."""
+        k = self.H.k
+        return {g: [(g1, e[:k], e[k:], c)
+                    for g1, coeff in img.items() for e, c in coeff.terms]
+                for g, img in self.differentials[h].items()}
 
     def _graded_homology(self, hh: TensorSquare) -> dict[int, dict[int, int]]:
         """Homology graded dimensions {h: {q: dim}} for h_bound < h <= 0."""
         bases = {h: self._chain_basis(h, hh)
                  for h in range(self.h_bound, 1)}
+        terms = {h: self._split_terms(h) for h in self.differentials}
+        products = _Products(self.H.reduction)
         # the rank of d_h in degree q counts against cycles at h and as
         # boundaries at h + 1: compute it once
         ranks: dict[tuple[int, int], int] = {}
@@ -316,7 +335,7 @@ class WolffhardtComplex:
         def rank_at(h: int, q: int) -> int:
             if (h, q) not in ranks:
                 src = [e for e in bases[h] if e[2] == q]
-                ranks[h, q] = rank(self._matrix(h, hh, src))
+                ranks[h, q] = rank(self._matrix(src, terms[h], products))
             return ranks[h, q]
 
         out: dict[int, dict[int, int]] = {}
@@ -331,6 +350,24 @@ class WolffhardtComplex:
                 if cycles - boundaries:
                     dims[q] = cycles - boundaries
             out[h] = dims
+        return out
+
+
+class _Products(dict):
+    """(basis monomial m, exponent tuple e) -> the reduced product m * e,
+    read from GrCohomology.reduction the first time it is asked for."""
+
+    def __init__(self, reduction: dict):
+        super().__init__()
+        self.reduction = reduction
+
+    def __missing__(self, key):
+        m, e = key
+        prod = tuple(a + b for a, b in zip(m, e))
+        if prod not in self.reduction:
+            raise ValueError(
+                f"monomial {prod} outside the tabulated reduction range")
+        out = self[key] = self.reduction[prod]
         return out
 
 

@@ -2,12 +2,14 @@
 
 An Intertwiner is stored sparsely as the image of each source basis vector.
 All maps here preserve the K-weight, so a dense per-weight block view is
-also available (and is what the JSON dump exposes).  apply, and with it
-compose and @, and scale multiply through uqsl2.scaled_sum: one multiply of
-packed ints per entry and factor, integer coefficients only, which every
-map the package builds has.  The colour-1 cups, caps and turnbacks that the
-Jones-Wenzl and slide checks need come from the evaluator,
-invariant.phi_coloured, the one place the package constructs slice maps.
+also available (and is what the JSON dump exposes).  apply and scale
+multiply through uqsl2.scaled_sum, and compose and @ through its pack and
+accumulate steps, with each column of the left factor packed once: one
+multiply of packed ints per entry and factor, integer coefficients only,
+which every map the package builds has.  The colour-1 cups, caps and
+turnbacks that the Jones-Wenzl and slide checks need come from the
+evaluator, invariant.phi_coloured, the one place the package constructs
+slice maps.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .qseries import DEFAULT_PRECISION, LaurentSeries, quantum_binomial
-from .uqsl2 import (ModuleElement, act, basis_indices, divided_power_act,
+from .packing import width
+from .uqsl2 import (ModuleElement, accumulate, act, basis_indices,
+                    divided_power_act, l1, pack_element, pack_series,
                     scaled_sum, seq_stats, weight, weight_projector)
 
 __all__ = [
@@ -79,12 +83,28 @@ class Intertwiner:
                                         if idx in cols))
 
     def compose(self, other: "Intertwiner") -> "Intertwiner":
-        """self o other (apply ``other`` first)."""
+        """self o other (apply ``other`` first).
+
+        Column idx is self.apply(other's column idx), but each column of
+        self is packed once, with one digit width that holds every output
+        column: the largest over other's columns of the sum of L1(c) times
+        L1(self's column j) over its entries (j, c).
+        """
         if other.target != self.source:
             raise ValueError("composition mismatch "
                              f"{other.target} -> {self.source}")
-        return Intertwiner.make(other.source, self.target,
-                                {idx: self.apply(img) for idx, img in other.columns})
+        norms = {idx: sum(l1(a) for _, a in img.coords)
+                 for idx, img in self.columns}
+        bits = width(max((sum(l1(c) * norms[j] for j, c in img.coords
+                              if j in norms)
+                          for _, img in other.columns), default=0))
+        left = {idx: pack_element(img.coords, bits)
+                for idx, img in self.columns}
+        return Intertwiner.make(other.source, self.target, {
+            idx: accumulate(self.target,
+                            ((left[j], pack_series(c, bits))
+                             for j, c in img.coords if j in left), bits)
+            for idx, img in other.columns})
 
     def __matmul__(self, other: "Intertwiner") -> "Intertwiner":
         return self.compose(other)

@@ -6,7 +6,9 @@ leftmost is the end, and concatenation composes like functions,
 component is spanned by arrow-times-basis products of degree l-1 modulo the
 rows coming from relation-times-basis products of degree l-r for each
 relation of degree r.  Construction stops once a degree collapses to zero
-(every longer path then lies in the ideal as well).
+(every longer path then lies in the ideal as well).  A coefficient is an
+int when it is integral and a Fraction otherwise (``qseries._coef``), so
+the algebras with integral relations multiply in ints.
 """
 
 from __future__ import annotations
@@ -15,10 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ..exactla import rref
+from ..qseries import _coef
 
 __all__ = ["GradedQuotientAlgebra", "build_algebra", "idempotent_subalgebra"]
 
-Element = dict[int, Fraction]  # basis id -> coefficient
+Element = dict[int, int | Fraction]  # basis id -> coefficient, int when integral
 
 
 @dataclass(frozen=True)
@@ -36,7 +39,7 @@ class GradedQuotientAlgebra:
     def __init__(self, vertices, arrows, relations, degree_bound: int = 32):
         self.vertices = tuple(vertices)
         self.arrows = tuple((a, b) for a, b in arrows)
-        self.relations = tuple(tuple((Fraction(c), tuple(p)) for c, p in rel)
+        self.relations = tuple(tuple((_coef(c), tuple(p)) for c, p in rel)
                                for rel in relations)
         self._check_relations()
         self.info: list[_BasisInfo] = []
@@ -99,7 +102,7 @@ class GradedQuotientAlgebra:
                 # deeper inside a path are already reduced away in A_{l-1}
                 row = {}
                 for c, p in rel:
-                    inner = {sid: Fraction(1)}
+                    inner = {sid: 1}
                     for t in range(len(p) - 1, 1, -1):
                         inner = self._arrow_mul(
                             self.arrows.index((p[t - 1], p[t])), inner)
@@ -124,7 +127,7 @@ class GradedQuotientAlgebra:
                 (self.arrows[ai][0],) + info.path, cand))
             ids[cand] = bid
             new_ids.append(bid)
-            self.reduce_table[cand] = {bid: Fraction(1)}
+            self.reduce_table[cand] = {bid: 1}
         for p, row in red.items():
             self.reduce_table[p] = {ids[f]: -c for f, c in row.items() if f != p}
         self.by_degree.append(new_ids)
@@ -151,7 +154,7 @@ class GradedQuotientAlgebra:
     # -- arithmetic --------------------------------------------------------------
 
     def unit(self, vertex: int) -> Element:
-        return {self.vertex_id[vertex]: Fraction(1)}
+        return {self.vertex_id[vertex]: 1}
 
     def path(self, verts) -> Element:
         """The class of the path (v_0|v_1|...|v_m) in the quotient."""
@@ -170,7 +173,7 @@ class GradedQuotientAlgebra:
         out: Element = {}
         for bid, c in x.items():
             for nid, nc in self.reduce_table.get((ai, bid), {}).items():
-                v = out.get(nid, Fraction(0)) + c * nc
+                v = out.get(nid, 0) + c * nc
                 if v:
                     out[nid] = v
                 elif nid in out:
@@ -188,7 +191,7 @@ class GradedQuotientAlgebra:
         out: Element = {}
         for bid, c in x.items():
             for nid, nc in self._basis_mul(bid, y).items():
-                v = out.get(nid, Fraction(0)) + c * nc
+                v = out.get(nid, 0) + c * nc
                 if v:
                     out[nid] = v
                 elif nid in out:
@@ -198,7 +201,7 @@ class GradedQuotientAlgebra:
     def add(self, x: Element, y: Element) -> Element:
         out = dict(x)
         for i, c in y.items():
-            v = out.get(i, Fraction(0)) + c
+            v = out.get(i, 0) + c
             if v:
                 out[i] = v
             elif i in out:
@@ -206,8 +209,8 @@ class GradedQuotientAlgebra:
         return out
 
     def scale(self, x: Element, c) -> Element:
-        c = Fraction(c)
-        return {i: s * c for i, s in x.items()} if c else {}
+        c = _coef(c)
+        return {i: _coef(s * c) for i, s in x.items()} if c else {}
 
 
 def build_algebra(vertices, arrows, relations,

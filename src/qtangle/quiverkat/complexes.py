@@ -47,7 +47,7 @@ class BimoduleComplex:
             n_mid = len(self.terms[h + 1])
             n_top = len(self.terms[h + 2])
             for s in range(len(self.terms[h])):
-                acc: dict[int, dict[tuple[int, int], Fraction]] = {
+                acc: dict[int, dict[tuple[int, int], int | Fraction]] = {
                     t2: {} for t2 in range(n_top)}
                 for (s1, t1), pairs in self.diff[h].items():
                     if s1 != s:
@@ -63,7 +63,7 @@ class BimoduleComplex:
                                     for ri, rc in right.items():
                                         d = acc[t2]
                                         key = (li, ri)
-                                        v = d.get(key, Fraction(0)) + lc * rc
+                                        v = d.get(key, 0) + lc * rc
                                         if v:
                                             d[key] = v
                                         elif key in d:
@@ -276,7 +276,7 @@ def _standard_module_ids(A: GradedQuotientAlgebra, v: int, smaller) -> list[int]
     for w in smaller:
         for x in A.basis_between(end=v, start=w):
             for a in range(A.dimension()):
-                prod = A.mul({x: Fraction(1)}, {a: Fraction(1)})
+                prod = A.mul({x: 1}, {a: 1})
                 image.update(prod.keys())
     return [i for i in A.basis_between(end=v) if i not in image]
 

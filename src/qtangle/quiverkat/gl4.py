@@ -79,7 +79,7 @@ def _corner_ids(A: GradedQuotientAlgebra) -> list[int]:
 
 
 def _unit(b: int) -> dict:
-    return {b: Fraction(1)}
+    return {b: 1}
 
 
 def _lower_span(A: GradedQuotientAlgebra, i: int) -> Span:
@@ -338,7 +338,7 @@ def _apply(A, diff, s, b):
             continue
         for k, c in A.mul(_unit(b), x).items():
             key = (t, k)
-            v = out.get(key, Fraction(0)) + c
+            v = out.get(key, 0) + c
             if v:
                 out[key] = v
             elif key in out:
@@ -378,7 +378,7 @@ def l1_resolution_report(h_bound: int = 8) -> dict:
                     if not y:
                         continue
                     for k, c in A.mul(x, y).items():
-                        v = acc.get(k, Fraction(0)) + c
+                        v = acc.get(k, 0) + c
                         if v:
                             acc[k] = v
                         elif k in acc:
@@ -443,10 +443,10 @@ def poincare_vs_paper(h_bound: int = 8) -> bool:
     """Shift the Ext Poincare series by q^2 t^2 and compare to the printed
     knot-homology expansion on the overlapping window."""
     table = ext_self_L1(h_bound)
-    shifted: dict[tuple[int, int], Fraction] = {}
+    shifted: dict[tuple[int, int], int] = {}
     for h, shifts in table.items():
         for s in shifts:
             key = (h + 2, s + 2)
-            shifted[key] = shifted.get(key, Fraction(0)) + 1
+            shifted[key] = shifted.get(key, 0) + 1
     want = bigraded_expand_homofunknot(-h_bound + 2).as_dict()
     return BigradedPolynomial.make(shifted) == BigradedPolynomial.make(want)

@@ -13,8 +13,6 @@ bidegreewise by exact rank computation over Q.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..exactla import rank
 from ..qseries import BigradedPolynomial
 
@@ -38,7 +36,7 @@ def gor_d(element: dict) -> dict:
 
     def acc(mono, c):
         if c:
-            out[mono] = out.get(mono, Fraction(0)) + c
+            out[mono] = out.get(mono, 0) + c
             if not out[mono]:
                 del out[mono]
 
@@ -75,14 +73,14 @@ def gor_d_squared_zero(h_bound: int = -8, q_bound: int = 40) -> bool:
     for h in range(0, h_bound - 1, -1):
         for q in range(0, q_bound + 1):
             for mono in _monomials_at(h, q):
-                if gor_d(gor_d({mono: Fraction(1)})):
+                if gor_d(gor_d({mono: 1})):
                     return False
     return True
 
 
 def _rank_at(h: int, q: int) -> int:
     """Rank of d restricted to bidegree (h, q) -> (h + 1, q)."""
-    rows = [r for r in (gor_d({m: Fraction(1)}) for m in _monomials_at(h, q))
+    rows = [r for r in (gor_d({m: 1}) for m in _monomials_at(h, q))
             if r]
     return rank(rows) if rows else 0
 
@@ -92,7 +90,7 @@ def gor_homology(h_bound: int = -8, q_bound: int = 40) -> BigradedPolynomial:
     0 <= q <= q_bound."""
     if h_bound > 0:
         raise ValueError("h_bound must be <= 0")
-    dims: dict[tuple[int, int], Fraction] = {}
+    dims: dict[tuple[int, int], int] = {}
     for h in range(0, h_bound - 1, -1):
         for q in range(0, q_bound + 1):
             n = len(_monomials_at(h, q))
@@ -101,5 +99,5 @@ def gor_homology(h_bound: int = -8, q_bound: int = 40) -> BigradedPolynomial:
             ker = n - _rank_at(h, q)
             dim = ker - _rank_at(h - 1, q)
             if dim:
-                dims[(h, q)] = Fraction(dim)
+                dims[(h, q)] = dim
     return BigradedPolynomial.make(dims)

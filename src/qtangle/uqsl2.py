@@ -12,7 +12,8 @@ and on tensor products it is given by the iterated comultiplication
     Delta(K^{+-1}) = K^{+-1} (x) K^{+-1}.
 
 scaled_sum, under ModuleElement.scale and intertwiner's Intertwiner.apply,
-multiplies elements by series as packed ints (packing), so it takes integer
+multiplies elements by series as packed ints (packing), in a pack step and
+an accumulate step that Intertwiner.compose also calls; it takes integer
 coefficients only: every map the package builds is integral, since each
 series it inverts has lowest coefficient 1.
 """
@@ -28,6 +29,10 @@ from .qseries import (LaurentSeries, product_window, quantum_binomial,
 __all__ = [
     "ModuleElement",
     "scaled_sum",
+    "l1",
+    "pack_series",
+    "pack_element",
+    "accumulate",
     "act",
     "act_on_range",
     "divided_power_act",
@@ -132,27 +137,56 @@ def scaled_sum(colours, terms) -> ModuleElement:
     """The sum of x.scale(c) over the (x, c) pairs of ``terms``, every x in
     the tensor product of these colours.
 
-    Each factor is packed once, with one digit width for all of them, from
-    the sum over the pairs of L1(c) times L1(x), which bounds every
-    coefficient of every partial sum.  An output entry is then one multiply
-    of packed ints per contributing pair, its sum kept packed from its
-    lowest degree so far and moved up when a lower term arrives, and it is
-    unpacked once.  Its window is the smallest product_window of its terms,
-    so a sum that vanishes on its window keeps it.  Integer coefficients
-    only: a Fraction raises TypeError, as in packing.pack.
+    Each factor is packed once (pack_element, pack_series), with one digit
+    width for all of them, from the sum over the pairs of L1(c) times
+    L1(x), which bounds every coefficient of every partial sum; accumulate
+    then forms the sum.  Integer coefficients only: a Fraction raises
+    TypeError, as in packing.pack.
     """
     terms = [(x.coords, c) for x, c in terms]
-    bits = width(sum(sum(map(abs, c.coeffs))
-                     * sum(sum(map(abs, a.coeffs)) for _, a in coords)
+    bits = width(sum(l1(c) * sum(l1(a) for _, a in coords)
                      for coords, c in terms))
+    return accumulate(colours, ((pack_element(coords, bits),
+                                 pack_series(c, bits)) for coords, c in terms),
+                      bits)
+
+
+def l1(c: LaurentSeries) -> int:
+    """The sum of the absolute values of c's coefficients."""
+    return sum(map(abs, c.coeffs))
+
+
+def pack_series(c: LaurentSeries, bits: int) -> tuple:
+    """The pack step for one series: (packed coefficients, lowest degree,
+    window)."""
+    return pack(c.coeffs, bits), c.min_deg, c.valid_to
+
+
+def pack_element(coords, bits: int) -> list:
+    """The pack step for the coords of an element: (index, pack_series)
+    per entry."""
+    return [(idx, pack_series(a, bits)) for idx, a in coords]
+
+
+def accumulate(colours, terms, bits: int) -> ModuleElement:
+    """The accumulate step of scaled_sum: the sum of x times c over the
+    (pack_element(x.coords), pack_series(c)) pairs of ``terms``, all packed
+    with digits of ``bits`` bits, which must hold every coefficient of every
+    partial sum.
+
+    An output entry is one multiply of packed ints per contributing pair,
+    its sum kept packed from its lowest degree so far and moved up when a
+    lower term arrives, and it is unpacked once.  Its window is the
+    smallest product_window of its terms, so a sum that vanishes on its
+    window keeps it.
+    """
     acc: dict[tuple[int, ...], list] = {}
     get = acc.get
-    for coords, c in terms:
-        pc, lc, vc = pack(c.coeffs, bits), c.min_deg, c.valid_to
-        for idx, a in coords:
-            lo = a.min_deg + lc
-            p = pack(a.coeffs, bits) * pc
-            v = product_window(a.min_deg, a.valid_to, lc, vc)
+    for entries, (pc, lc, vc) in terms:
+        for idx, (pa, la, va) in entries:
+            lo = la + lc
+            p = pa * pc
+            v = product_window(la, va, lc, vc)
             got = get(idx)
             if got is None:
                 acc[idx] = [lo, p, v]

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, JSON output, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -465,3 +466,45 @@ class TestDeterminism:
                                  "--precision", "16"])
         report = json.loads(out)
         assert list(report) == sorted(report)
+
+
+class TestSuiteOutputsPinned:
+    # The CLI sweep of the benchmark's verify_suites workload, in its
+    # unshuffled order.  The sha256 of the concatenated --json outputs was
+    # taken before the integer echelon kernel, the int coefficients of
+    # quiverkat and the product table of the Grassmannian differentials,
+    # so none of them changed a byte of any report.
+    SHA256 = "42ce095e2c3e9b874ab273fb5374c66111de88aa1c08f05cb34b6cccd8835608"
+
+    @staticmethod
+    def argvs():
+        out = [["verify", "jones-wenzl", "--n", str(n), "--precision", "32"]
+               for n in range(1, 6)]
+        out.append(["verify", "jones-wenzl", "--n", "4", "--precision", "48"])
+        for prec, lo, top in ((32, 1, 5), (48, 3, 4)):
+            out += [["verify", "slides", "--n", str(n), "--precision", str(prec)]
+                    for n in range(lo, top + 1)]
+        out += [["verify", "slides", "--n", "4", "--precision", str(prec)]
+                for prec in (24, 40, 56)]
+        for k, n in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4), (1, 5),
+                     (2, 5), (1, 6)):
+            out += [["grassmann", "--k", str(k), "--n", str(n),
+                     "--check-complex", "--hbound", str(hb)]
+                    for hb in (-3, -6) if (k, n, hb) != (2, 5, -6)]
+        out += [["quiver-check", "--which", w]
+                for w in ("gl2", "gl3", "gl4", "all")]
+        out += [["unknot-homology", "--hmax", str(h)] for h in (2, 4, 6, 8)]
+        out += [["gor", "--hbound", str(hb), "--qbound", str(qb)]
+                for hb in (2, 4, 6, 8) for qb in (20, 30, 40)]
+        return out
+
+    def test_sweep_output_is_unchanged(self):
+        argvs = self.argvs()
+        assert len(argvs) == 53
+        digest = hashlib.sha256()
+        for argv in argvs:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert main(argv + ["--json"]) == EXIT_OK, argv
+            digest.update(out.getvalue().encode())
+        assert digest.hexdigest() == self.SHA256

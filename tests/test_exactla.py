@@ -1,5 +1,6 @@
 """Sparse polynomials over Q and exact linear algebra."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -181,3 +182,115 @@ class TestEchelonProperties:
         assert all(apply_row(r, v) == 0 for r in rows for v in kernel)
         shuffled = data.draw(st.permutations(rows))
         assert rref(shuffled) == red
+
+
+# -- the integer kernel against a Fraction Gauss-Jordan reference -------------
+
+def reference_rref(rows):
+    """Gauss-Jordan over Fraction, pivots in key order, every pivot 1."""
+    red = {}
+    for r in rows:
+        v = {k: Fraction(c) for k, c in r.items() if c}
+        v = reference_residue(red, v)
+        if not v:
+            continue
+        p = min(v)
+        new = {k: c / v[p] for k, c in v.items()}
+        for q, row in red.items():
+            if p in row:
+                red[q] = {k: c for k, c in
+                          ((k, row.get(k, 0) - row[p] * new.get(k, 0))
+                           for k in row.keys() | new.keys()) if c}
+        red[p] = new
+    return {p: dict(sorted(red[p].items())) for p in sorted(red)}
+
+
+def reference_residue(red, v):
+    """v minus the combination of the reduced rows that clears each pivot."""
+    out = {k: Fraction(c) for k, c in v.items() if c}
+    for p, row in red.items():
+        c = out.get(p, 0)
+        for k, rc in row.items():
+            out[k] = out.get(k, 0) - c * rc
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_nullspace(red, ncols):
+    return [{f: 1, **{p: -row[f] for p, row in red.items() if f in row}}
+            for f in range(ncols) if f not in red]
+
+
+def combine(a, v, b, w):
+    out = {k: a * v.get(k, 0) + b * w.get(k, 0) for k in v.keys() | w.keys()}
+    return {k: c for k, c in out.items() if c}
+
+
+def integral_stays_int(d):
+    return all(type(c) is int or c.denominator != 1 for c in d.values())
+
+
+# ints with negative and non-unit pivots, Fractions, and zeros
+coefficients = st.one_of(
+    st.integers(min_value=-6, max_value=6),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4))
+
+
+@st.composite
+def vector_lists(draw):
+    ncols = draw(st.integers(min_value=1, max_value=5))
+    vector = st.dictionaries(st.integers(min_value=0, max_value=ncols - 1),
+                             coefficients, max_size=ncols)
+    rows = draw(st.lists(vector, max_size=5))
+    if rows and draw(st.booleans()):
+        # a repeated vector, and a multiple of one
+        rows.append(dict(draw(st.sampled_from(rows))))
+        rows.append({k: -2 * c for k, c in draw(st.sampled_from(rows)).items()})
+    probes = draw(st.lists(vector, min_size=2, max_size=2))
+    return rows, ncols, probes
+
+
+class TestIntegerSpan:
+    @settings(max_examples=70, deadline=None)
+    @given(vector_lists(), coefficients, coefficients)
+    def test_matches_fraction_reference(self, case, a, b):
+        rows, ncols, (v, w) = case
+        red = reference_rref(rows)
+        assert rank(rows) == len(red)
+        got = rref(rows)
+        assert got == red
+        assert list(got) == list(red)
+        assert all(integral_stays_int(row) for row in got.values())
+        assert nullspace(rows, ncols) == reference_nullspace(red, ncols)
+        span = Span(rows)
+        for row in span.rows.values():
+            assert all(type(c) is int for c in row.values())
+            assert math.gcd(*row.values()) == 1 and row[min(row)] > 0
+            assert not any(row.get(q) for q in span.rows if q != min(row))
+        for x in (v, w):
+            assert span.reduce(x) == reference_residue(red, x)
+            assert integral_stays_int(span.reduce(x))
+            assert span.contains(x) == (not reference_residue(red, x))
+        # the residue is linear in the vector, with no per-call scale
+        assert span.reduce(combine(a, v, b, w)) == combine(
+            a, span.reduce(v), b, span.reduce(w))
+
+    def test_residue_is_not_rescaled_by_a_non_unit_pivot(self):
+        # the row's pivot 2 scales v by 2 during elimination: the residue
+        # must still be v - row/2, not 2v - row
+        sp = Span([{0: 2, 1: 1}])
+        assert sp.rows == {0: {0: 2, 1: 1}}
+        assert sp.reduce({0: 1}) == {1: Fraction(-1, 2)}
+        assert sp.reduce({0: 2}) == {1: -1}
+        assert Span([{0: 2, 1: 1}, {0: 1}]).rows == {0: {0: 1}, 1: {1: 1}}
+        # with a second span vector the residue of v clears both pivots
+        sp.add({1: 3, 2: 1})
+        assert sp.reduce({0: 1, 2: 1}) == {2: Fraction(7, 6)}
+
+    def test_fraction_input_rows_are_integral(self):
+        sp = Span([{0: Fraction(-1, 2), 1: Fraction(1, 3)}])
+        assert sp.rows == {0: {0: 3, 1: -2}}
+        assert rref([{0: Fraction(-1, 2), 1: Fraction(1, 3)}]) == {
+            0: {0: 1, 1: Fraction(-2, 3)}}
+        # an integral Fraction comes back as an int
+        red = rref([{0: Fraction(2), 1: Fraction(4)}])
+        assert red == {0: {0: 1, 1: 2}} and type(red[0][1]) is int

@@ -6,7 +6,7 @@ import pytest
 
 from qtangle import exactla, grasscoh
 from qtangle.exactla import Poly
-from qtangle.grasscoh import (TensorSquare, build_cohomology,
+from qtangle.grasscoh import (TensorSquare, _Products, build_cohomology,
                               epsilon_idempotent, nilhecke_check, partial_i,
                               psi_op, r_poly, tau, wolffhardt_complex)
 
@@ -109,6 +109,46 @@ class TestResolutionRanks:
         assert sorted(report["homology"]) == list(range(hbound + 1, 1))
         assert not any(report["homology"][h] for h in range(hbound + 1, 0))
         assert report["ok"]
+
+
+class TestMatrixRows:
+    # the (k, n, hbound) set of the CLI sweep in perfbench's verify_suites
+    CASES = [(k, n, hb) for k, n in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4),
+                                     (3, 4), (1, 5), (2, 5), (1, 6))
+             for hb in (-3, -6) if (k, n, hb) != (2, 5, -6)]
+
+    @staticmethod
+    def reference_rows(cx, h, hh, src):
+        """The differential as a Poly product reduced in H (x) H."""
+        rows = []
+        k = cx.H.k
+        for pair, g, _ in src:
+            row: dict = {}
+            mono = Poly.monomial(2 * k, pair[0] + pair[1])
+            for g1, coeff in cx.differentials[h].get(g, {}).items():
+                for tpair, c in hh.reduce(mono * coeff).items():
+                    row[(tpair, g1)] = row.get((tpair, g1), 0) + c
+            rows.append(row)
+        return rows
+
+    @pytest.mark.parametrize("k,n,hbound", CASES)
+    def test_rows_equal_reduced_poly_products(self, k, n, hbound):
+        cx = wolffhardt_complex(k, n, hbound)
+        hh = TensorSquare(cx.H)
+        products = _Products(cx.H.reduction)
+        for h in range(hbound, 0):
+            terms = cx._split_terms(h)
+            basis = cx._chain_basis(h, hh)
+            for q in sorted({e[2] for e in basis}):
+                src = [e for e in basis if e[2] == q]
+                assert cx._matrix(src, terms, products) == \
+                    self.reference_rows(cx, h, hh, src)
+
+    def test_products_outside_the_table_raise(self):
+        products = _Products(build_cohomology(1, 2).reduction)
+        assert products[(1,), (1,)] == {}
+        with pytest.raises(ValueError):
+            products[(1,), (5,)]
 
 
 class TestNilHecke:

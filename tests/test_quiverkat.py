@@ -27,6 +27,19 @@ class TestBlockAlgebras:
     def test_gl2_graded_dimensions(self):
         assert gl2_algebra().graded_dimensions() == {0: 2, 1: 2, 2: 1}
 
+    @pytest.mark.parametrize("build", [gl2_algebra, gl3_algebra, gl4_algebra])
+    def test_products_of_basis_units_are_ints(self, build):
+        # integral relations give integral structure constants, kept as ints
+        A = build()
+        ids = range(A.dimension())
+        nonzero = 0
+        for x in ids:
+            for y in ids:
+                prod = A.mul({x: 1}, {y: 1})
+                assert all(type(c) is int for c in prod.values()), (x, y, prod)
+                nonzero += bool(prod)
+        assert nonzero > A.dimension()
+
 
 class TestProjectorComplexes:
     @pytest.mark.parametrize("builder", [
