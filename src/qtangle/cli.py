@@ -40,15 +40,15 @@ PRECISION_ENV = "QTANGLE_PRECISION"
 MIN_PRECISION = 8
 # a bound on the work one request can ask for: at this precision, in a
 # fresh process on a 2-vCPU VM with Python 3.11, eval of the colour-3
-# trefoil takes 0.19-0.26 s and verify jones-wenzl --n 4 takes 1.2-1.7 s,
+# trefoil takes 0.18-0.19 s and verify jones-wenzl --n 4 takes 0.9-1.0 s,
 # most of it in the packed products of charJW_check's compositions
 MAX_PRECISION = 1024
 # verify jones-wenzl takes on only 4^n times --precision below this: p_n
 # has 4^n entries, each a series of up to --precision coefficients.  In a
 # fresh process on the same VM the largest requests it lets through, n = 7
-# at precision 31, n = 6 at 127 and n = 5 at 511, take 3.1-3.5 s.  At 2^19
-# itself n = 8 at precision 8 takes 8.6-10.1 s, more than n = 7 at the
-# default precision (7.6-8.8 s), and at 2^20 n = 8 at 16 takes 14.7 s
+# at precision 31, n = 6 at 127 and n = 5 at 511, take 1.2-2.6 s.  At 2^19
+# itself n = 8 at precision 8 takes 6.1-6.8 s, more than n = 7 at the
+# default precision (2.1-3.3 s), and at 2^20 n = 8 at 16 takes 5.4-7.8 s
 JONES_WENZL_WORK_LIMIT = 2 ** 19
 # the largest --n of verify slides: in a fresh process on the same VM
 # slides takes 6.3 s at n = 8 and 19 s at n = 9; each step up multiplies
@@ -394,8 +394,8 @@ def _cmd_unknot_homology(args) -> int:
     lines = _check_lines(checks)
     table = {}
     if res["ok"]:
-        table = ext_self_L1(args.hmax)
-        poincare_ok = poincare_vs_paper(args.hmax)
+        table = ext_self_L1(args.hmax, res)
+        poincare_ok = poincare_vs_paper(args.hmax, table)
         checks.append({
             "name": "q^2 t^2-shifted Poincare series equals the knot "
                     "homology expansion", "ok": poincare_ok, "repro": repro})

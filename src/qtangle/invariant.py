@@ -14,12 +14,13 @@ polynomial, so a closed link evaluates to an exact Laurent polynomial at any
 precision.  The maps are the cabled slices between Jones-Wenzl inclusions
 and projections, rescaled to the integral basis, but nothing here cables.
 
-Every column under evaluation is a _State: per basis index, keyed by a
-mixed-radix int, the entry's integer coefficients packed into one int.  An
-open tangle's source vector v_k enters as [m, k] w_k on a down point, and
-_apply_local maps one state to the next with one big-int multiply per
-product.  _finish makes the columns series once, dividing each entry on down
-target points back by long division: exactly when the quotient is a Laurent
+Every column under evaluation is a _State: per basis index, keyed by an
+int of bit fields, one per strand, the entry's integer coefficients packed
+into one int.  An open tangle's source vector v_k enters as [m, k] w_k on a
+down point, and _apply_local maps one state to the next with one big-int
+multiply per product, finding each entry's slot with shifts and masks.
+_finish makes the columns series once, dividing each entry on down target
+points back by long division: exactly when the quotient is a Laurent
 polynomial, else expanded to ``precision`` coefficients, the one place a
 window is made.  So evaluation makes no series product.
 normalized_invariant applies the framing q^(3 gamma), with gamma from
@@ -68,8 +69,9 @@ class InvariantResult:
 class _State(NamedTuple):
     """A vector under evaluation, kept packed between slices.
 
-    A basis index is keyed by its mixed-radix int, the leftmost strand most
-    significant with radix m + 1, so keys sort as the index tuples do.
+    A basis index is keyed by an int of bit fields: a strand of colour m
+    takes m.bit_length() bits, the leftmost strand the most significant
+    ones, so keys sort as the index tuples do.
     ``coords`` maps the key of each nonzero entry to the entry packed with
     digits of ``bits`` bits, digit j the coefficient of q^(base + j).  No
     coefficient exceeds ``bound`` in absolute value, and ``bound`` is below
@@ -87,7 +89,7 @@ class _Local(NamedTuple):
     """A local map as _apply_local takes it.
 
     ``source`` and ``target`` are the colours of the strands it takes and
-    leaves, ``rs`` and ``rt`` their numbers of basis vectors.  ``columns``
+    leaves, ``sw`` and ``tw`` the bit widths of their keys.  ``columns``
     maps each source slot, keyed like a state, to the terms (target slot,
     coefficients from the lowest degree up, lowest degree) of its image.
     ``m0`` is the lowest degree of any term, and ``norm`` the largest row L1
@@ -99,8 +101,8 @@ class _Local(NamedTuple):
 
     source: tuple[int, ...]
     target: tuple[int, ...]
-    rs: int
-    rt: int
+    sw: int
+    tw: int
     columns: dict
     m0: int
     norm: int
@@ -114,19 +116,20 @@ class _Local(NamedTuple):
         for img in columns.values():
             for t, cs, _ in img:
                 rows[t] = rows.get(t, 0) + sum(map(abs, cs))
-        return _Local(source, target, _radix(source), _radix(target), columns,
+        return _Local(source, target, _key_bits(source), _key_bits(target),
+                      columns,
                       min((lo for img in columns.values() for _, _, lo in img),
                           default=0),
                       max(rows.values(), default=0), {})
 
     def terms(self, bits: int, right: int) -> dict:
-        """Per source slot, the terms (target slot times ``right``, packed
-        coefficients times q^-m0) of its image, for digits of ``bits`` bits
-        and a slot with ``right`` basis vectors to its right."""
+        """Per source slot, the terms (target slot shifted ``right`` bits,
+        packed coefficients times q^-m0) of its image, for digits of
+        ``bits`` bits and a slot with ``right`` key bits to its right."""
         got = self.packed.get((bits, right))
         if got is None:
             got = self.packed[bits, right] = {
-                s: tuple((t * right, pack(cs, bits) << bits * (lo - self.m0))
+                s: tuple((t << right, pack(cs, bits) << bits * (lo - self.m0))
                          for t, cs, lo in img)
                 for s, img in self.columns.items()}
         return got
@@ -140,24 +143,30 @@ def _radix(colours: tuple[int, ...]) -> int:
     return r
 
 
+def _key_bits(colours: tuple[int, ...]) -> int:
+    """The number of bits of a key of the tensor product of these V_m."""
+    return sum(m.bit_length() for m in colours)
+
+
 @lru_cache(maxsize=None)
 def _right(colours: tuple[int, ...], j: int) -> int:
-    """The number of basis vectors of the strands from position j + 1 on."""
-    return _radix(colours[j:])
+    """The number of key bits of the strands from position j + 1 on."""
+    return _key_bits(colours[j:])
 
 
 def _key(idx: tuple[int, ...], colours: tuple[int, ...]) -> int:
     k = 0
     for a, m in zip(idx, colours):
-        k = k * (m + 1) + a
+        k = (k << m.bit_length()) | a
     return k
 
 
 def _index(key: int, colours: tuple[int, ...]) -> tuple[int, ...]:
     idx = []
     for m in reversed(colours):
-        key, a = divmod(key, m + 1)
-        idx.append(a)
+        w = m.bit_length()
+        idx.append(key & ((1 << w) - 1))
+        key >>= w
     return tuple(reversed(idx))
 
 
@@ -201,17 +210,16 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
     if (x.bound * mid.norm) >> (x.bits - 1):
         x = _repack(x, mid.norm)
     right = _right(colours, i - 1 + k)
-    srad, trad = mid.rs * right, mid.rt * right
+    smask, lmask = (1 << mid.sw) - 1, (1 << right) - 1
+    hsh, tsh = right + mid.sw, right + mid.tw
     cols = mid.terms(x.bits, right)
     acc: dict[int, int] = {}
     get = acc.get
     for key, p in x.coords.items():
-        hi, rest = divmod(key, srad)
-        s, low = divmod(rest, right)
-        img = cols.get(s)
+        img = cols.get((key >> right) & smask)
         if img is None:
             continue
-        off = hi * trad + low
+        off = ((key >> hsh) << tsh) | (key & lmask)
         for t, tp in img:
             t += off
             acc[t] = get(t, 0) + p * tp
@@ -347,14 +355,16 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
     if kind == "cup":
         m, = colours
         return _Local.make((), (m, m), {0: tuple(
-            ((m - j) * (m + 1) + j, ((-1) ** j,), j * (j - m + 1))
+            (((m - j) << m.bit_length()) | j, ((-1) ** j,), j * (j - m + 1))
             for j in range(m + 1))})
     a, b = colours
     if kind == "cap":
         return _Local.make((a, b), (), {
-            k * (b + 1) + a - k: ((0, ((-1) ** k,), -k * (k - a + 1)),)
+            (k << b.bit_length()) | (a - k):
+                ((0, ((-1) ** k,), -k * (k - a + 1)),)
             for k in range(a + 1)})
     da, db = down
+    wa, wb = a.bit_length(), b.bit_length()
     sign = (-1) ** (a * b)
     unit = LaurentSeries(0, (sign,))
     columns = {}
@@ -368,7 +378,7 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
                         binomial_row(a - i if da else i + n)[n],
                         binomial_row(j if db else b - j + n)[n])
                     e = (-3 * a * b - (2 * (i + n) - a) * (2 * (j - n) - b)) // 2
-                    terms.append(((j - n) * (a + 1) + i + n, c.coeffs,
+                    terms.append((((j - n) << wa) | (i + n), c.coeffs,
                                   c.min_deg + e))
             else:
                 e = (3 * a * b + (2 * i - a) * (2 * j - b)) // 2
@@ -377,9 +387,9 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
                         sign * (-1) ** n, _theta(n),
                         binomial_row(b - j if db else j + n)[n],
                         binomial_row(i if da else a - i + n)[n])
-                    terms.append(((j + n) * (a + 1) + i - n, c.coeffs,
+                    terms.append((((j + n) << wa) | (i - n), c.coeffs,
                                   c.min_deg + e + n * (n - 1)))
-            columns[i * (b + 1) + j] = tuple(terms)
+            columns[(i << wb) | j] = tuple(terms)
     return _Local.make((a, b), (b, a), columns)
 
 
@@ -397,12 +407,12 @@ MAX_STATE = 2 ** 20
 # span, (a+1)(b+1)(min(a,b)+1)(ab+1) for a crossing of colours a and b and
 # (m+1)(m^2/4+1) for a cup or cap of colour m.  A boundary point of colour m
 # that points down counts as a cap of colour m, for the binomial row its
-# basis change reads.  A map at the limit takes 0.02-0.03 s to build for a
-# crossing of colour 11 and under 1 ms for a cap of colour 100 (Python
+# basis change reads.  A map at the limit takes 0.014-0.019 s to build for
+# a crossing of colour 11 and under 1 ms for a cap of colour 100 (Python
 # 3.11.7 on a 2-core Xeon).  A cup or cap is only m + 1 monomials, but
 # _apply_local packs each term shifted by up to m^2/4 digits, so the
 # m^2/4 + 1 factor bounds the packed width it applies: with no guard, the
-# colour-200 unknot peaks at 38 MB and the colour-400 one at 194 MB.
+# colour-200 unknot peaks at 27 MB and the colour-400 one at 105 MB.
 MAX_MAP_SIZE = 2 ** 18
 
 

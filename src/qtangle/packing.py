@@ -12,9 +12,9 @@ polynomials is likewise the packed sum.
 
 ``width`` is the rule that keeps the digits apart: given a bound on every
 coefficient a computation can produce, it returns a digit width with room
-for it.  ``low_digit`` finds the lowest nonzero digit, and ``pack`` and
-``unpack`` convert to and from lists.  The evaluator's slice maps are
-exact, so nothing here truncates.
+for it, a multiple of WORD = 32 bits.  ``low_digit`` finds the lowest
+nonzero digit, and ``pack`` and ``unpack`` convert to and from lists.  The
+evaluator's slice maps are exact, so nothing here truncates.
 """
 
 from __future__ import annotations
@@ -23,8 +23,15 @@ import struct
 
 __all__ = ["WORD", "width", "pack", "unpack", "low_digit"]
 
-# digit widths are multiples of one machine word
-WORD = 64
+# digit widths are multiples of 32 bits: wide enough that a slice's
+# coefficients rarely outgrow one digit, narrow enough that the packed
+# entries carry few zero bits.  On the colour-1 links and braid closures
+# of the benchmark, best of 9 in one process, 64-bit digits took 5-9%
+# longer and 16-bit ones, repacked far more often, about half as long again
+WORD = 32
+
+# the struct format of a digit one or two words wide
+_FORMATS = {32: "I", 64: "Q"}
 
 
 def width(bound: int) -> int:
@@ -62,8 +69,9 @@ def unpack(p: int, bits: int) -> list[int]:
     """The digits of p from digit 0 up to its highest nonzero one.
 
     Adding the digit bias 2^(bits-1) to every digit makes each one a
-    nonnegative machine word, or run of words, with nothing carried
-    between them, so the digits are read straight off p's bytes.
+    nonnegative run of bytes, with nothing carried between them, so the
+    digits are read straight off p's bytes: by struct for 32- and 64-bit
+    digits, a slice at a time for wider ones.
     """
     if not p:
         return []
@@ -72,8 +80,9 @@ def unpack(p: int, bits: int) -> list[int]:
     bias = int.from_bytes((bytes(step - 1) + b"\x80") * n, "little")
     raw = (p + bias).to_bytes(step * n, "little")
     h = 1 << (bits - 1)
-    if bits == WORD:
-        cs = [w - h for w in struct.unpack(f"<{n}Q", raw)]
+    fmt = _FORMATS.get(bits)
+    if fmt:
+        cs = [w - h for w in struct.unpack(f"<{n}{fmt}", raw)]
     else:
         cs = [int.from_bytes(raw[i:i + step], "little") - h
               for i in range(0, len(raw), step)]

@@ -46,6 +46,7 @@ class GradedQuotientAlgebra:
         self.by_degree: list[list[int]] = []
         self.vertex_id: dict[int, int] = {}
         self.reduce_table: dict[tuple[int, int], Element] = {}
+        self._between: dict[tuple, list[int]] = {}
         self._build(degree_bound)
 
     # -- construction ---------------------------------------------------------
@@ -79,6 +80,11 @@ class GradedQuotientAlgebra:
                     f"algebra did not stabilize by degree {degree_bound}")
             self._build_degree(degree)
         # pad reduce table entries for non-composable pairs lazily via get()
+        # basis ids per (end, start), either one None for any vertex
+        for i, info in enumerate(self.info):
+            for key in ((info.end, info.start), (info.end, None),
+                        (None, info.start), (None, None)):
+                self._between.setdefault(key, []).append(i)
 
     def _build_degree(self, l: int):
         prev = self.by_degree[l - 1]
@@ -141,9 +147,9 @@ class GradedQuotientAlgebra:
         return {d: len(ids) for d, ids in enumerate(self.by_degree) if ids}
 
     def basis_between(self, end: int | None = None, start: int | None = None):
-        return [i for i, info in enumerate(self.info)
-                if (end is None or info.end == end)
-                and (start is None or info.start == start)]
+        """The basis ids from ``start`` to ``end`` in ascending order, None
+        matching any vertex."""
+        return list(self._between.get((end, start), ()))
 
     def degree(self, x: Element) -> int | None:
         degs = {self.info[i].degree for i in x}

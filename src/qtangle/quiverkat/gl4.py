@@ -424,13 +424,16 @@ def l1_resolution_report(h_bound: int = 8) -> dict:
     }
 
 
-def ext_self_L1(h_bound: int = 8) -> dict[int, tuple[int, ...]]:
+def ext_self_L1(h_bound: int = 8,
+                report: dict | None = None) -> dict[int, tuple[int, ...]]:
     """Graded dimensions of Ext^h(L(1), L(1)) for 0 >= h >= -h_bound.
 
     The resolution is minimal, so Ext^{-m} is read off as the multiset of
-    internal shifts <-s> of the C(1) summands of D_m.
+    internal shifts <-s> of the C(1) summands of D_m.  ``report`` is
+    l1_resolution_report(h_bound) if the caller has it already; else the
+    resolution is verified here.
     """
-    rep = l1_resolution_report(h_bound)
+    rep = l1_resolution_report(h_bound) if report is None else report
     if not rep["ok"]:
         raise ValueError(f"resolution failed verification: {rep}")
     out: dict[int, tuple[int, ...]] = {}
@@ -439,10 +442,13 @@ def ext_self_L1(h_bound: int = 8) -> dict[int, tuple[int, ...]]:
     return out
 
 
-def poincare_vs_paper(h_bound: int = 8) -> bool:
+def poincare_vs_paper(h_bound: int = 8,
+                      table: dict[int, tuple[int, ...]] | None = None) -> bool:
     """Shift the Ext Poincare series by q^2 t^2 and compare to the printed
-    knot-homology expansion on the overlapping window."""
-    table = ext_self_L1(h_bound)
+    knot-homology expansion on the overlapping window.  ``table`` is
+    ext_self_L1(h_bound) if the caller has it already."""
+    if table is None:
+        table = ext_self_L1(h_bound)
     shifted: dict[tuple[int, int], int] = {}
     for h, shifts in table.items():
         for s in shifts:

@@ -18,6 +18,7 @@ from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
                          MAX_SLIDES_N, MIN_PRECISION, PRECISION_ENV,
                          build_parser, main)
 from qtangle.intertwiner import Intertwiner
+from qtangle.quiverkat import gl4
 
 UNKNOT = "bottom\ncup 1 1 u\ncap 1\n"
 
@@ -442,6 +443,24 @@ class TestReports:
     def test_quiver_check_gl2(self, capsys):
         code, out, _ = run(capsys, ["quiver-check", "--which", "gl2"])
         assert code == EXIT_OK and "FAIL" not in out
+
+    def test_unknot_homology_verifies_the_resolution_once(self, capsys,
+                                                          monkeypatch):
+        # the Ext table and the Poincare check reuse the CLI's report
+        calls = []
+        real = gl4.l1_resolution_report
+
+        def counting(*args, **kw):
+            calls.append(args)
+            return real(*args, **kw)
+
+        monkeypatch.setattr(gl4, "l1_resolution_report", counting)
+        monkeypatch.setattr(cli, "l1_resolution_report", counting)
+        code, out, _ = run(capsys, ["unknot-homology", "--hmax", "4",
+                                    "--json"])
+        report = json.loads(out)
+        assert code == EXIT_OK and report["ok"] and len(report["checks"]) == 5
+        assert len(calls) == 1
 
     def test_gor(self, capsys):
         code, out, _ = run(capsys, ["gor", "--hbound", "4",

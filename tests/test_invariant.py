@@ -1,6 +1,8 @@
 """Diagram evaluation, framing normalization, and the invariance harness."""
 
 import dataclasses
+import hashlib
+import json
 import random
 import time
 from functools import lru_cache
@@ -195,6 +197,27 @@ class TestHighColours:
         w = link_invariant(parse(braid_closure([-1, -1, -1], [m, m])), 16)
         assert v.valid_to is None and w.valid_to is None
         assert w.bar() == v
+
+    # the sha256 of link_invariant(d, 16).to_json(), keys sorted, taken with
+    # 64-bit digits and mixed-radix state keys
+    PINNED = {
+        "trefoil-c9": (
+            braid_closure([1, 1, 1], [9, 9]),
+            "eba9ac72cf1a174dd3ed85fbb00ef757"
+            "d4b5b5621fc476310dbdf6c41b04b2a3"),
+        "figure8-c6": (
+            "bottom\ncup 1 6 u\ncup 2 6 u\ncup 3 6 u\n"
+            "pos 1\nneg 2\npos 1\nneg 2\ncap 3\ncap 2\ncap 1\n",
+            "b7ba1ee2bdf8e4316b47349d55d875a5"
+            "ef485c60619939018da73482452fb84a"),
+    }
+
+    @pytest.mark.parametrize("name", list(PINNED))
+    def test_heavy_values_are_pinned(self, name):
+        text, want = self.PINNED[name]
+        val = link_invariant(parse(text), 16)
+        got = json.dumps(val.to_json(), sort_keys=True).encode()
+        assert hashlib.sha256(got).hexdigest() == want
 
     def test_colour_seven_trefoil_is_fast(self):
         for memo in (_coloured_local, binomial_row, _theta):
@@ -465,6 +488,32 @@ LOCAL_MAPS = {
     "inclusion3": lambda: inclusion(3),
     "coloured-pos": lambda: cabled_map("pos", (2, 1), 8),
 }
+
+
+@st.composite
+def index_pairs(draw):
+    """Mixed colours 1-11 and two basis indices of their tensor product."""
+    colours = tuple(draw(st.lists(st.integers(1, 11), max_size=6)))
+    idx = st.tuples(*(st.integers(0, m) for m in colours))
+    return colours, draw(idx), draw(idx)
+
+
+class TestKeys:
+    """State keys: one bit field per strand, the leftmost most significant."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(index_pairs())
+    def test_round_trip_and_order(self, case):
+        colours, a, b = case
+        ka, kb = _key(a, colours), _key(b, colours)
+        assert _index(ka, colours) == a and _index(kb, colours) == b
+        assert (ka < kb) == (a < b) and (ka == kb) == (a == b)
+        assert ka.bit_length() <= sum(m.bit_length() for m in colours)
+
+    def test_fields(self):
+        # colours 3, 1, 8 take 2, 1 and 4 bits
+        assert _key((2, 1, 5), (3, 1, 8)) == 0b10_1_0101
+        assert _index(0b10_1_0101, (3, 1, 8)) == (2, 1, 5)
 
 
 class TestApplyLocal:

@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from qtangle.packing import WORD, low_digit, pack, unpack, width
 
-# signed coefficients of every size, with the edges of the 64- and 128-bit
-# digits drawn often
+# signed coefficients of every size, with the edges of digits one to four
+# words wide drawn often
 COEFFS = st.one_of(
     st.integers(-3, 3),
     st.integers(-2 ** 70, 2 ** 70),
-    st.sampled_from([2 ** 63 - 1, 2 ** 63, 2 ** 64 - 1, 2 ** 64,
-                     2 ** 127 - 1, 2 ** 127]).flatmap(
+    st.sampled_from([2 ** (k * WORD + e) + d for k in (1, 2, 4)
+                     for e in (-1, 0) for d in (-1, 0)]).flatmap(
         lambda c: st.sampled_from([c, -c])))
 
 
@@ -28,9 +28,10 @@ def stripped(cs: list[int]) -> list[int]:
 class TestWidth:
     def test_headroom_bit(self):
         # a digit of bits bits holds |c| < 2^(bits-1), never 2^(bits-1)
-        assert width(0) == width(1) == width(2 ** 63 - 1) == WORD
-        assert width(2 ** 63) == width(2 ** 127 - 1) == 2 * WORD
-        assert width(2 ** 127) == 3 * WORD
+        assert width(0) == width(1) == width(2 ** (WORD - 1) - 1) == WORD
+        assert width(2 ** (WORD - 1)) == width(2 ** (2 * WORD - 1) - 1) \
+            == 2 * WORD
+        assert width(2 ** (2 * WORD - 1)) == 3 * WORD
 
 
 class TestRoundTrip:
@@ -58,6 +59,20 @@ class TestRoundTrip:
             for j, y in enumerate(b):
                 want[i + j] += x * y
         assert unpack(pack(a, bits) * pack(b, bits), bits) == stripped(want)
+
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    def test_extreme_digits(self, words):
+        # the struct paths (one and two words) and the byte-slice path
+        # (three), with every digit at the edge of its range
+        bits = words * WORD
+        top = 2 ** (bits - 1) - 1
+        for cs in ([top, -top, 0, -top, top], [-top] * 40, [0, 1, -top],
+                   [top, -1, 1, -top]):
+            assert width(max(map(abs, cs))) == bits
+            p = pack(cs, bits)
+            assert unpack(p, bits) == cs
+            assert low_digit(p, bits) == next(
+                i for i, c in enumerate(cs) if c)
 
     def test_only_integers_pack(self):
         with pytest.raises(TypeError):

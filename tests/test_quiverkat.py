@@ -40,6 +40,20 @@ class TestBlockAlgebras:
                 nonzero += bool(prod)
         assert nonzero > A.dimension()
 
+    @pytest.mark.parametrize("build", [gl2_algebra, gl3_algebra, gl4_algebra])
+    def test_basis_between_is_the_scan(self, build):
+        # the index built once against a scan of the whole basis
+        A = build()
+        ends = [None, *A.vertices]
+        for end in ends:
+            for start in ends:
+                want = [i for i, info in enumerate(A.info)
+                        if (end is None or info.end == end)
+                        and (start is None or info.start == start)]
+                assert A.basis_between(end, start) == want, (end, start)
+                assert A.basis_between(end=end, start=start) == want
+        assert A.basis_between() == list(range(A.dimension()))
+
 
 class TestProjectorComplexes:
     @pytest.mark.parametrize("builder", [
