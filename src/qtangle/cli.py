@@ -6,7 +6,8 @@ for identical argv and seed; ``--json`` switches every subcommand to a
 machine-readable summary.  The QTANGLE_PRECISION environment variable
 overrides the default precision, qseries.DEFAULT_PRECISION (64).  A closed
 link evaluates exactly whatever the precision; it sets the windows of open
-tangles' entries and of the Jones-Wenzl projectors the checks build.
+tangles' entries, and only those: the Jones-Wenzl and slide checks are
+exact, and take --precision only to echo it in their reproduce lines.
 """
 
 from __future__ import annotations
@@ -40,19 +41,17 @@ PRECISION_ENV = "QTANGLE_PRECISION"
 MIN_PRECISION = 8
 # a bound on the work one request can ask for: at this precision, in a
 # fresh process on a 2-vCPU VM with Python 3.11, eval of the colour-3
-# trefoil takes 0.18-0.19 s and verify jones-wenzl --n 4 takes 0.9-1.0 s,
-# most of it in the packed products of charJW_check's compositions
+# trefoil takes 0.17-0.19 s and verify jones-wenzl --n 4 takes 0.13-0.21 s,
+# most of it in starting Python, as at any precision
 MAX_PRECISION = 1024
-# verify jones-wenzl takes on only 4^n times --precision below this: p_n
-# has 4^n entries, each a series of up to --precision coefficients.  In a
-# fresh process on the same VM the largest requests it lets through, n = 7
-# at precision 31, n = 6 at 127 and n = 5 at 511, take 1.2-2.6 s.  At 2^19
-# itself n = 8 at precision 8 takes 6.1-6.8 s, more than n = 7 at the
-# default precision (2.1-3.3 s), and at 2^20 n = 8 at 16 takes 5.4-7.8 s
-JONES_WENZL_WORK_LIMIT = 2 ** 19
+# the largest --n of verify jones-wenzl, whose maps are exact at any
+# --precision: p_n has 4^n entries, and p o p pairs up to 8^n of them.  In
+# a fresh process on the same VM, n = 1..7 take 0.5-0.8 s, n = 1..8
+# 1.9-3.4 s and n = 1..9 12.5 s, about half of it in the divided powers
+MAX_JONES_WENZL_N = 8
 # the largest --n of verify slides: in a fresh process on the same VM
-# slides takes 6.3 s at n = 8 and 19 s at n = 9; each step up multiplies
-# the work by about 3 to 6
+# slides takes 3.1-4.9 s at n = 8 and 10.7-15.9 s at n = 9; each step up
+# multiplies the work by about 3 to 6
 MAX_SLIDES_N = 9
 
 _MOVES = {m.value: m for m in MoveKind}
@@ -229,18 +228,17 @@ def _cmd_verify_invariance(args) -> int:
 
 
 def _cmd_verify_jones_wenzl(args) -> int:
-    # 4^n p < W exactly when p < W >> 2n, which takes no big power of 4
-    if args.n < 1 or args.precision >= JONES_WENZL_WORK_LIMIT >> 2 * args.n:
+    # every map of the checks is an exact integer Laurent map: --precision
+    # is accepted, and kept in the repro line, but it changes nothing
+    if not 1 <= args.n <= MAX_JONES_WENZL_N:
         return _invalid("verify jones-wenzl",
-                        f"--n must be at least 1, and 4^n times --precision "
-                        f"below {JONES_WENZL_WORK_LIMIT}")
+                        f"--n must be between 1 and {MAX_JONES_WENZL_N}")
     checks = []
     for n in range(1, args.n + 1):
         repro = f"qtangle verify jones-wenzl --n {n} --precision {args.precision}"
-        p = jones_wenzl(n, args.precision)
-        same = p.eq_upto(jones_wenzl_divided(n, args.precision))
+        p = jones_wenzl(n)
         checks.append({"name": f"p_{n} = sum E^(k)F^(k)/[n k] 1_w",
-                       "ok": same, "repro": repro})
+                       "ok": p == jones_wenzl_divided(n), "repro": repro})
         checks.append({"name": f"p_{n} idempotent and kills turnbacks",
                        "ok": charJW_check(p), "repro": repro})
     ok = all(c["ok"] for c in checks)
@@ -449,11 +447,12 @@ def _cmd_gor(args) -> int:
 def _add_precision(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=_default_precision(),
                    help=f"coefficients kept of a series that is not a "
-                        f"Laurent polynomial: an open tangle's entry or a "
-                        f"projector's; a closed link is exact at any "
-                        f"precision (default {DEFAULT_PRECISION}, min "
-                        f"{MIN_PRECISION}, max {MAX_PRECISION}; "
-                        f"override default via {PRECISION_ENV})")
+                        f"Laurent polynomial, an open tangle's entry; a "
+                        f"closed link and the jones-wenzl and slides "
+                        f"checks are exact at any precision (default "
+                        f"{DEFAULT_PRECISION}, min {MIN_PRECISION}, max "
+                        f"{MAX_PRECISION}; override default via "
+                        f"{PRECISION_ENV})")
 
 
 def _add_json(p: argparse.ArgumentParser) -> None:

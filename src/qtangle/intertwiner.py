@@ -1,5 +1,8 @@
 """Matrices of module maps: Jones-Wenzl projectors and the checks on them.
 
+The projectors are exact integer maps in Lusztig's integral basis, where
+[n, k] p_n = E^(k) F^(k) on the weight 2k - n: the checks compare with ==.
+
 An Intertwiner is stored sparsely as the image of each source basis vector.
 All maps here preserve the K-weight, so a dense per-weight block view is
 also available (and is what the JSON dump exposes).  apply and scale
@@ -17,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .qseries import DEFAULT_PRECISION, LaurentSeries, quantum_binomial
+from .qseries import LaurentSeries, binomial_row
 from .packing import width
 from .uqsl2 import (ModuleElement, accumulate, act, basis_indices,
                     divided_power_act, l1, pack_element, pack_series,
-                    scaled_sum, seq_stats, weight, weight_projector)
+                    scaled_sum, seq_stats, weight)
 
 __all__ = [
     "Intertwiner",
@@ -144,10 +147,6 @@ class Intertwiner:
     def is_zero(self) -> bool:
         return not self.columns
 
-    def is_zero_upto(self) -> bool:
-        """True when every stored entry vanishes on its validity window."""
-        return self.eq_upto(Intertwiner.make(self.source, self.target, {}))
-
     def eq_upto(self, other: "Intertwiner") -> bool:
         if (self.source, self.target) != (other.source, other.target):
             return False
@@ -205,20 +204,18 @@ def _by_weight(colours: tuple[int, ...]) -> dict[int, list[tuple[int, ...]]]:
 # -- projection / inclusion / Jones-Wenzl ------------------------------------
 
 @lru_cache(maxsize=None)
-def projection(n: int, precision: int = DEFAULT_PRECISION) -> Intertwiner:
-    """pi_n : V_1^{(x) n} -> V_n, v_a |-> q^{-l(a)} [n choose |a|]^{-1} v_{|a|}.
+def projection(n: int) -> Intertwiner:
+    """[n, k] pi_n : V_1^{(x) n} -> V_n, v_a |-> q^{-l(a)} v_{|a|}, k = |a|.
 
-    pi_1 is the exact identity: its binomials are 1, with nothing to invert.
+    This is pi_n into the integral basis w_k = v_k / [n, k] of V_n, read
+    with w_k written as v_k: a monomial map, exact, with nothing inverted.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return Intertwiner.identity((1,))
-    inv = {k: quantum_binomial(n, k).invert(precision) for k in range(n + 1)}
 
     def col(a):
         l, _, k = seq_stats(a)
-        return ModuleElement.make((n,), {(k,): inv[k].shift(-l)})
+        return ModuleElement.make((n,), {(k,): LaurentSeries.monomial(-l)})
 
     return Intertwiner.from_function((1,) * n, (n,), col)
 
@@ -241,10 +238,10 @@ def inclusion(n: int) -> Intertwiner:
     return Intertwiner.from_function((n,), (1,) * n, col)
 
 
-def projection_list(colours, precision: int = DEFAULT_PRECISION) -> Intertwiner:
+def projection_list(colours) -> Intertwiner:
     out = None
     for d in colours:
-        p = projection(d, precision)
+        p = projection(d)
         out = p if out is None else out.tensor(p)
     if out is None:
         return Intertwiner.identity(())
@@ -262,27 +259,23 @@ def inclusion_list(colours) -> Intertwiner:
 
 
 @lru_cache(maxsize=None)
-def jones_wenzl(n: int, precision: int = DEFAULT_PRECISION) -> Intertwiner:
-    """p_n = iota_n o pi_n on V_1^{(x) n}."""
-    return inclusion(n) @ projection(n, precision)
+def jones_wenzl(n: int) -> Intertwiner:
+    """The integral Jones-Wenzl map iota_n o projection(n) on V_1^{(x) n}:
+    [n, |a|] p_n on column a, so projection(n) o iota_n = [n, k] Id."""
+    return inclusion(n) @ projection(n)
 
 
 @lru_cache(maxsize=None)
-def jones_wenzl_divided(n: int, precision: int = DEFAULT_PRECISION) -> Intertwiner:
-    """p_n = sum_k E^{(k)} F^{(k)} / [n choose k] restricted to the q^{2k-n} weight space."""
+def jones_wenzl_divided(n: int) -> Intertwiner:
+    """The same map as jones_wenzl(n) by divided powers: column a goes to
+    E^{(k)} F^{(k)} v_a, k = |a|, which is [n, k] p_n on the weight 2k - n
+    (Frenkel and Khovanov, Duke Math. J. 87, 1997)."""
     colours = (1,) * n
-    inv = {k: quantum_binomial(n, k).invert(precision) for k in range(n + 1)}
 
     def col(a):
-        out = ModuleElement.zero(colours)
-        for k in range(n + 1):
-            x = weight_projector(-n + 2 * k, ModuleElement.basis_vector(colours, a))
-            if x.is_zero():
-                continue
-            x = divided_power_act("F", k, x, precision)
-            x = divided_power_act("E", k, x, precision)
-            out = out + x.scale(inv[k])
-        return out
+        k = sum(a)
+        x = ModuleElement.basis_vector(colours, a)
+        return divided_power_act("E", k, divided_power_act("F", k, x))
 
     return Intertwiner.from_function(colours, colours, col)
 
@@ -392,7 +385,8 @@ def _turnback_word(i: int, n: int) -> str:
 
 
 def charJW_check(p: Intertwiner) -> bool:
-    """p o p = p, and p kills every turnback C_{i,n} on both sides.
+    """The integral Jones-Wenzl identities, exactly: p o p is p with column
+    a scaled by [n, |a|], and p kills every turnback C_{i,n} on both sides.
 
     The turnbacks come from the evaluator, which keeps 2^n states of up to
     2^n entries for one, so its MAX_STATE refuses them from n = 11 on.
@@ -400,10 +394,12 @@ def charJW_check(p: Intertwiner) -> bool:
     if p.source != p.target or any(d != 1 for d in p.source):
         raise ValueError("expected an endomorphism of V_1^{(x) n}")
     n = len(p.source)
-    if not (p @ p).eq_upto(p):
+    row = binomial_row(n)
+    if p @ p != Intertwiner.make(p.source, p.target, {
+            a: img.scale(row[sum(a)]) for a, img in p.columns}):
         return False
     for i in range(1, n):
         c = _evaluate(_turnback_word(i, n))
-        if not (c @ p).is_zero_upto() or not (p @ c).is_zero_upto():
+        if not (c @ p).is_zero() or not (p @ c).is_zero():
             return False
     return True

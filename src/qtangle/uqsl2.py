@@ -14,8 +14,9 @@ and on tensor products it is given by the iterated comultiplication
 scaled_sum, under ModuleElement.scale and intertwiner's Intertwiner.apply,
 multiplies elements by series as packed ints (packing), in a pack step and
 an accumulate step that Intertwiner.compose also calls; it takes integer
-coefficients only: every map the package builds is integral, since each
-series it inverts has lowest coefficient 1.
+coefficients only.  Every map the package builds is integral: the divided
+powers E^(k) and F^(k) act through the closed comultiplication by quantum
+binomials (divided_power_act_closed), with no [k]! to divide by.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 from .packing import low_digit, pack, unpack, width
 from .qseries import (LaurentSeries, product_window, quantum_binomial,
-                      quantum_factorial, quantum_integer)
+                      quantum_integer)
 
 __all__ = [
     "ModuleElement",
@@ -256,20 +257,6 @@ def act(gen: str, x: ModuleElement) -> ModuleElement:
     return act_on_range(gen, x, 0, len(x.colours))
 
 
-def divided_power_act(gen: str, k: int, x: ModuleElement,
-                      precision: int | None = None) -> ModuleElement:
-    """E^{(k)} or F^{(k)}: act k times, then divide by [k]! exactly."""
-    if gen not in ("E", "F"):
-        raise ValueError("divided powers only for E and F")
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    for _ in range(k):
-        x = act(gen, x)
-    if k >= 2:
-        x = x.scale(quantum_factorial(k).invert(precision))
-    return x
-
-
 def _divided_power_single(gen: str, k: int, d: int, a: int):
     """E^{(k)} v_a = [a+k, k] v_{a+k} and F^{(k)} v_a = [d-a+k, k] v_{a-k} on V_d."""
     if gen == "E":
@@ -334,6 +321,11 @@ def _dp_terms(gen: str, k: int, colours, index, lo: int, hi: int):
                 # leading K^i on the first slot, evaluated after F^{(k-i)} acted there
                 coeff = coeff.shift(i * (2 * new_a - d0))
             yield rest_idx, coeff
+
+
+# E^(k) or F^(k) on every slot, under the name intertwiner calls it by,
+# which the benchmark's tracer (perfbench/tracing.py) hooks
+divided_power_act = divided_power_act_closed
 
 
 def weight_projector(mu: int, x: ModuleElement) -> ModuleElement:

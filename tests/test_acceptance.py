@@ -61,14 +61,13 @@ def test_02_coloured_invariance():
 
 
 def test_03_jones_wenzl_divided_powers():
-    ok = all(jones_wenzl(n, PRECISION).eq_upto(jones_wenzl_divided(n, PRECISION))
-             for n in range(1, 5))
-    report(3, "p_n equals the divided-power sum for n = 1..4 "
-              f"on a {PRECISION}-term window", ok)
+    ok = all(jones_wenzl(n) == jones_wenzl_divided(n) for n in range(1, 5))
+    report(3, "p_n equals the divided-power sum for n = 1..4, exactly, "
+              "scaled by [n, k] on the weight 2k - n", ok)
 
 
 def test_04_jones_wenzl_characterization():
-    ok = all(charJW_check(jones_wenzl(n, PRECISION)) for n in range(1, 6))
+    ok = all(charJW_check(jones_wenzl(n)) for n in range(1, 6))
     report(4, "p_n idempotent and kills every turnback, both sides, "
               "n = 1..5", ok)
 
@@ -134,7 +133,7 @@ def test_10_projector_complexes():
     A_ok = gl2_algebra().dimension() == 5
     cx_ok = all(cx.verify_complex() and not cx.homogeneity_report()
                 for cx in projector_complexes(8))
-    euler = euler_characteristic_vs_p2(PRECISION)
+    euler = euler_characteristic_vs_p2()
     report(10, "dim A = 5; all four projector complexes satisfy d^2 = 0; "
                f"Euler characteristic matches p_2 up to q^{euler['q_power']}",
            A_ok and cx_ok and euler["match"])

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from qtangle import cli
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
-                         EXIT_VERIFY, JONES_WENZL_WORK_LIMIT, MAX_PRECISION,
+                         EXIT_VERIFY, MAX_JONES_WENZL_N, MAX_PRECISION,
                          MAX_SLIDES_N, MIN_PRECISION, PRECISION_ENV,
                          build_parser, main)
 from qtangle.intertwiner import Intertwiner
@@ -371,8 +371,7 @@ class TestVerify:
         assert code == EXIT_VALIDATE
         assert out == "" and len(err.strip().splitlines()) == 1
 
-    @pytest.mark.parametrize("n,precision", [
-        (5, 512), (7, 32), (8, 8), (10 ** 9, 8)])
+    @pytest.mark.parametrize("n,precision", [(9, 8), (10 ** 9, 8)])
     def test_jones_wenzl_over_the_work_limit_exit_3_at_once(
             self, capsys, monkeypatch, n, precision):
         # the limit is checked before any work: here building a projector
@@ -384,9 +383,11 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "jones-wenzl", "--n", str(n),
                                       "--precision", str(precision)])
         assert code == EXIT_VALIDATE and out == ""
-        assert err.count("\n") == 1 and str(JONES_WENZL_WORK_LIMIT) in err
+        assert err.count("\n") == 1 and str(MAX_JONES_WENZL_N) in err
 
-    @pytest.mark.parametrize("n,precision", [(4, 1024), (5, 511), (7, 31)])
+    # the bound is on n alone: every precision reaches the projector
+    @pytest.mark.parametrize("n,precision", [(4, 1024), (5, 511), (7, 31),
+                                             (8, 8), (8, 1024)])
     def test_jones_wenzl_under_the_work_limit_runs(self, capsys, monkeypatch,
                                                    n, precision):
         def build(*args):
@@ -396,6 +397,18 @@ class TestVerify:
         with pytest.raises(LookupError):
             run(capsys, ["verify", "jones-wenzl", "--n", str(n),
                          "--precision", str(precision)])
+
+    def test_jones_wenzl_precision_changes_no_check(self, capsys):
+        reports = []
+        for precision in (8, 1024):
+            code, out, _ = run(capsys, ["verify", "jones-wenzl", "--n", "5",
+                                        "--precision", str(precision),
+                                        "--json"])
+            assert code == EXIT_OK
+            reports.append(out.replace(f"--precision {precision}\"",
+                                       "--precision P\""))
+        assert reports[0] == reports[1] and json.loads(reports[0])["ok"]
+        assert reports[0].count("--precision P") == 10
 
     @pytest.mark.parametrize("suite,bound", [("slides", MAX_SLIDES_N)])
     def test_n_above_the_bound_exit_3_at_once(self, capsys, suite, bound):

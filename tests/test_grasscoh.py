@@ -6,6 +6,7 @@ import pytest
 
 from qtangle import exactla, grasscoh
 from qtangle.exactla import Poly
+from qtangle.qseries import LaurentSeries, binomial_row
 from qtangle.grasscoh import (TensorSquare, _Products, build_cohomology,
                               epsilon_idempotent, nilhecke_check, partial_i,
                               psi_op, r_poly, tau, wolffhardt_complex)
@@ -24,6 +25,17 @@ class TestCohomologyRing:
     def test_graded_dimensions_gr24(self):
         H = build_cohomology(2, 4)
         assert H.graded_dimensions() == {0: 1, 2: 1, 4: 2, 6: 1, 8: 1}
+
+    @pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 4), (2, 5), (2, 6),
+                                     (3, 6), (3, 7)])
+    def test_graded_dimension_is_the_quantum_binomial(self, k, n):
+        # decategorification: degree d of H*(Gr(k, n)) goes to q^(d - k(n-k)),
+        # and the shift off by one is a negative control
+        dims = build_cohomology(k, n).graded_dimensions()
+        for off, equal in ((0, True), (1, False), (-1, False)):
+            got = LaurentSeries.from_dict({d - k * (n - k) + off: c
+                                           for d, c in dims.items()})
+            assert (got == binomial_row(n)[k]) is equal, off
 
     def test_poincare_duality(self):
         H = build_cohomology(2, 5)

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtangle import intertwiner
 from qtangle.intertwiner import (Intertwiner, _evaluate, _turnback_word,
                                  charJW_check, inclusion, is_intertwiner,
                                  jones_wenzl, jones_wenzl_divided, nested_cups,
                                  projection, slide_identity_checks)
-from qtangle.qseries import LaurentSeries, quantum_integer
+from qtangle.qseries import LaurentSeries, binomial_row, quantum_integer
 from qtangle.uqsl2 import ModuleElement, basis_indices, scaled_sum
 
 from fullwidth import (cap, cap_at, crossing_neg, crossing_pos, cup, cup_at,
-                       positioned, turnback, turnback_at)
+                       positioned, turnback, turnback_at, windowed_projection)
 
 PREC = 32
 
@@ -71,40 +72,102 @@ class TestElementaryMaps:
             positioned(cap(), 3, 3)
 
 
+def scaled_columns(f: Intertwiner, row) -> Intertwiner:
+    """f with column a scaled by row[|a|]: by [n, |a|] for binomial_row(n)."""
+    return Intertwiner.make(f.source, f.target, {
+        a: img.scale(row[sum(a)]) for a, img in f.columns})
+
+
+def diagonal(n: int, row) -> Intertwiner:
+    """The map v_k -> row[k] v_k of V_n."""
+    return Intertwiner.make((n,), (n,), {
+        (k,): ModuleElement.make((n,), {(k,): row[k]}) for k in range(n + 1)})
+
+
+def plus_one(row):
+    """The wrong scalars [n, k] + 1."""
+    return tuple(c + LaurentSeries.one() for c in row)
+
+
 class TestProjectionInclusion:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pi_iota_is_identity_on_Vn(self, n):
-        comp = projection(n, PREC) @ inclusion(n)
+        comp = windowed_projection(n, PREC) @ inclusion(n)
         assert comp.eq_upto(Intertwiner.identity((n,)))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_both_are_equivariant(self, n):
         assert is_intertwiner(inclusion(n))
-        assert is_intertwiner(projection(n, PREC))
+        assert is_intertwiner(windowed_projection(n, PREC))
+
+    def test_integral_pi_iota_is_the_binomial_diagonal(self):
+        for n in range(1, 8):
+            row = binomial_row(n)
+            comp = projection(n) @ inclusion(n)
+            assert comp == diagonal(n, row)
+            # negative control: the wrong scalar [n, k] + 1
+            assert comp != diagonal(n, plus_one(row))
 
 
 class TestJonesWenzl:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_characterizing_properties(self, n):
-        assert charJW_check(jones_wenzl(n, PREC))
+        assert charJW_check(jones_wenzl(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_divided_power_formula_agrees(self, n):
-        assert jones_wenzl(n, PREC).eq_upto(jones_wenzl_divided(n, PREC))
+        assert jones_wenzl(n) == jones_wenzl_divided(n)
+
+    def test_every_entry_is_exact(self):
+        for n in range(1, 7):
+            for f in (jones_wenzl(n), jones_wenzl_divided(n)):
+                assert all(c.valid_to is None for _, img in f.columns
+                           for _, c in img.coords), n
+
+    def test_windowed_projector_agrees_block_by_block(self):
+        # p_n through the windowed pi_n, scaled per column by [n, |a|]
+        for n in range(1, 6):
+            p = inclusion(n) @ windowed_projection(n, PREC)
+            assert scaled_columns(p, binomial_row(n)).eq_upto(jones_wenzl(n))
 
     def test_p2_explicit_matrix(self):
-        """p_2 = Id + C / [2]."""
-        p = jones_wenzl(2, PREC)
-        expected = Intertwiner.identity((1, 1)) + \
-            turnback().scale(quantum_integer(2).invert(PREC))
-        assert p.eq_upto(expected)
+        """[2, |a|] p_2 = diag([2, |a|]) + C, with C the turnback."""
+        row = binomial_row(2)
+        expected = scaled_columns(Intertwiner.identity((1, 1)), row) + \
+            turnback()
+        assert jones_wenzl(2) == expected
 
     def test_projector_absorbs_crossing(self):
         """Pi o p_n = -q^{-2} p_n since turnbacks die."""
         for n in (2, 3):
-            p = jones_wenzl(n, PREC)
+            p = jones_wenzl(n)
             lhs = crossing_pos(n, 1) @ p
-            assert lhs.eq_upto(p.scale(LaurentSeries.monomial(-2, -1)))
+            assert lhs == p.scale(LaurentSeries.monomial(-2, -1))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_a_dropped_sign_fails_both_checks(self, n):
+        p = jones_wenzl(n)
+        a, img = p.columns[len(p.columns) // 2]
+        wrong = Intertwiner.make(p.source, p.target, {
+            **dict(p.columns), a: img.scale(LaurentSeries.monomial(0, -1))})
+        assert not charJW_check(wrong)
+        assert wrong != jones_wenzl_divided(n)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_wrong_scalar_fails(self, n, monkeypatch):
+        # the square is compared with p scaled by [n, k] + 1
+        monkeypatch.setattr(intertwiner, "binomial_row",
+                            lambda m: plus_one(binomial_row(m)))
+        assert not charJW_check(jones_wenzl(n))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_the_binomial_diagonal_passes_the_square_not_the_turnbacks(
+            self, n):
+        # D o D = D scaled by [n, |a|], for D the diagonal of [n, |a|]: only
+        # the turnbacks reject it
+        d = scaled_columns(Intertwiner.identity((1,) * n), binomial_row(n))
+        assert d @ d == scaled_columns(d, binomial_row(n))
+        assert not charJW_check(d)
 
 
 class TestNestedCupsAndSlides:

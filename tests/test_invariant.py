@@ -20,12 +20,13 @@ from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
                                phi_coloured, verify_invariance)
 from qtangle.packing import pack, width
 from qtangle.qseries import LaurentSeries, binomial_row, quantum_integer
-from qtangle.uqsl2 import ModuleElement, basis_indices, seq_stats, weight
+from qtangle.uqsl2 import ModuleElement, basis_indices, weight
 from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                             cable, parse, random_diagram, random_link,
                             validate, writhe_gamma)
 
-from fullwidth import cap, crossing_neg, crossing_pos, cup, positioned
+from fullwidth import (cap, crossing_neg, crossing_pos, cup, positioned,
+                       windowed_projection)
 
 PREC = 32
 
@@ -367,7 +368,8 @@ def cabled_map(kind: str, colours: tuple[int, ...], prec: int) -> Intertwiner:
         if m > 1:
             columns = _apply_all(to_local(readout(m)), m + 1, columns)
         half = _finish(src, up((1,) * m + (m,)), columns, prec)
-        return projection(m, prec).tensor(Intertwiner.identity((m,))) @ half
+        return windowed_projection(m, prec).tensor(
+            Intertwiner.identity((m,))) @ half
     for j, m in enumerate(tgt):
         if m > 1:
             columns = _apply_all(to_local(readout(m)), j + 1, columns)
@@ -464,17 +466,6 @@ def local_apply(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
     return _element(_apply_local(to_local(mid), i, to_state(x)))
 
 
-@lru_cache(maxsize=None)
-def integral_projection(m: int) -> Intertwiner:
-    """pi_m into the integral basis w_k = v_k / [m, k] of V_m, where it is
-    exact: v_a -> q^(-l(a)) w_|a|."""
-    def col(a):
-        l, _, k = seq_stats(a)
-        return ModuleElement.make((m,), {(k,): LaurentSeries.monomial(-l)})
-
-    return Intertwiner.from_function((1,) * m, (m,), col)
-
-
 # the colour-1 slices, the projections and inclusions, and one coloured
 # crossing map, each on 4 strands with colour-1 neighbours
 LOCAL_MAPS = {
@@ -482,8 +473,8 @@ LOCAL_MAPS = {
     "cap": lambda: slice_mid("cap"),
     "pos": lambda: slice_mid("pos"),
     "neg": lambda: slice_mid("neg"),
-    "projection2": lambda: integral_projection(2),
-    "projection3": lambda: integral_projection(3),
+    "projection2": lambda: projection(2),
+    "projection3": lambda: projection(3),
     "inclusion2": lambda: inclusion(2),
     "inclusion3": lambda: inclusion(3),
     "coloured-pos": lambda: cabled_map("pos", (2, 1), 8),
@@ -567,7 +558,7 @@ class TestApplyLocal:
     def test_windowed_map_is_refused(self):
         # the evaluator's maps are exact; pi_2 in the basis v is not
         with pytest.raises(ValueError, match="not exact"):
-            to_local(projection(2, 6))
+            to_local(windowed_projection(2, 6))
 
 
 class TestDivide:

@@ -9,11 +9,12 @@ strand becomes m parallel strands with the integral Temperley-Lieb element
 [m] f_m inserted after each colour-m cup, f_m the Jones-Wenzl projector, so
 the sum is the product of [m] over the cups times the coloured value.
 
-Higher colours go to two whole-polynomial identities whose expected
+Higher colours go to three whole-polynomial identities whose expected
 values use only ``LaurentSeries`` arithmetic and the DSL: Habiro's
 cyclotomic expansion of the coloured figure-eight (K. Habiro, Invent. Math.
-171, 2008), and the cabling identity, which reads a colour-m value off the
-colour-1 value of its cable and the values in lower colours.
+171, 2008), the cabling identity, which reads a colour-m value off the
+colour-1 value of its cable and the values in lower colours, and the
+eigenvalue sum of the torus knots and links T(2, n).
 
 Open tangles go to the composite of the cabled slice maps of
 ``test_invariant.cabled_map``, each placed at full width with
@@ -402,6 +403,55 @@ class TestCablingIdentity:
     def test_dropped_framing_factor_differs(self, word):
         left, right = cabling_sides(word, 2, framed=False)
         assert left != right
+
+
+def torus(n: int, m: int) -> LaurentSeries:
+    """The colour-m closure of the 2-strand braid sigma^n, the torus knot or
+    link T(2, n):
+
+        sum_(l=0..m) (-1)^(ln) q^(n(m(2m+1) - l(l+1))) [2l+1].
+
+    V_m (x) V_m is the sum of V_(2l), l = 0..m, each once, so the pos
+    crossing acts on V_(2l) by a scalar lambda_l, and the closure of n
+    crossings is sum_l lambda_l^n [2l+1]: [2l+1] closes the projection
+    onto V_(2l), and at n = 0 the sum is [m+1]^2, the unlink.  The pos map
+    (invariant._coloured_local) is (-1)^(m^2) q^(-3m^2/2) times the
+    standard braiding at q^-1, which acts on V_j in V_m (x) V_m by
+    (-1)^(m-j/2) q^(c_m - c_j/2), c_j = j(j+2)/2 the Casimir value (M. Rosso
+    and V. Jones, J. Knot Theory Ramifications 2, 1993).  So lambda_l =
+    (-1)^l q^(m - m^2 - l(l+1)); on the highest weight vector v_m (x) v_m of
+    V_(2m) this is (-1)^m q^(-2m^2), which the closed form gives with only
+    its n = 0 term.  The framing factor q^(3 gamma), gamma = n m^2
+    (tangle.writhe_gamma), makes each crossing q^(3m^2) lambda_l =
+    (-1)^l q^(m(2m+1) - l(l+1)).  For odd n, (-1)^(ln) is
+    (-1)^m (-1)^((m-l)n).
+    """
+    total = LaurentSeries.zero()
+    for l in range(m + 1):
+        total = total + quantum_integer(2 * l + 1).shift(
+            n * (m * (2 * m + 1) - l * (l + 1))).scale((-1) ** (l * n))
+    return total
+
+
+TORUS_CASES = [(3, m) for m in range(1, 10)] + \
+    [(n, m) for n in (5, -3) for m in range(1, 7)] + \
+    [(-5, m) for m in range(1, 5)] + \
+    [(n, m) for n in (2, -2, 4) for m in range(1, 4)]
+
+
+class TestTorusKnots:
+    """Colours 1-9 on the torus knots and links T(2, n), whole
+    polynomials."""
+
+    @pytest.mark.parametrize("n,m", TORUS_CASES)
+    def test_two_strand_closures(self, n, m):
+        word = [1 if n > 0 else -1] * abs(n)
+        value = link_invariant(parse(braid_closure(word, [m, m])), 16)
+        assert value.valid_to is None and value == torus(n, m)
+
+    def test_a_cancelling_pair_is_the_one_crossing_formula(self):
+        value = link_invariant(parse(braid_closure([1, 1, -1], [3, 3])), 16)
+        assert value != torus(3, 3) and value == torus(1, 3)
 
 
 def window_narrowing(ref: Intertwiner, got: Intertwiner) -> list[str]:

@@ -1,6 +1,8 @@
 """Quiver block algebras, projector complexes, the six-vertex corner algebra,
 and the small differential bigraded algebra."""
 
+from fractions import Fraction
+
 import pytest
 
 from qtangle.quiverkat import (euler_characteristic_vs_p2, gl2_algebra,
@@ -12,9 +14,10 @@ from qtangle.quiverkat import (euler_characteristic_vs_p2, gl2_algebra,
                                p12_printed_sign_discrepancies,
                                poincare_vs_paper, standard_modules_gl4)
 from qtangle.quiverkat import complexes as complexes_module
+from qtangle.quiverkat.complexes import _exact_quotient
 from qtangle.quiverkat import gor as gor_module
 from qtangle.intertwiner import jones_wenzl
-from qtangle.qseries import bigraded_expand_homofunknot
+from qtangle.qseries import LaurentSeries, bigraded_expand_homofunknot
 
 
 class TestBlockAlgebras:
@@ -75,7 +78,7 @@ class TestProjectorComplexes:
         assert all(note.startswith("h=-") for note in notes)
 
     def test_euler_characteristic_matches_p2(self):
-        report = euler_characteristic_vs_p2(32)
+        report = euler_characteristic_vs_p2()
         assert report["match"]
         assert report["q_power"] == 0
 
@@ -85,9 +88,23 @@ class TestProjectorComplexes:
         # negative control: the documented q power is checked, not found by
         # a scan, so a projector shifted by q^(+-1) must not match
         monkeypatch.setattr(complexes_module, "jones_wenzl",
-                            lambda n, prec: jones_wenzl(n, prec).shift(shift))
-        report = euler_characteristic_vs_p2(32)
+                            lambda n: jones_wenzl(n).shift(shift))
+        report = euler_characteristic_vs_p2()
         assert not report["match"] and report["q_power"] is None
+
+    def test_exact_quotient_refuses_a_series(self):
+        # the Euler characteristic divides characters exactly or not at all
+        L = LaurentSeries
+        assert _exact_quotient(L.make(1, [1]), L.one()) == L.monomial(1)
+        assert _exact_quotient(L.make(-1, [2, 4, 2]), L.make(0, [1, 1])) \
+            == L.make(-1, [2, 2])
+        assert _exact_quotient(L.make(0, [3]), L.make(2, [2])) == \
+            L.monomial(-2, Fraction(3, 2))
+        for c, d in ((L.one(), L.make(0, [1, 1])),
+                     (L.make(0, [1, 0, 1]), L.make(0, [1, 1])),
+                     (L.make(0, [1], 4), L.one())):
+            with pytest.raises(ValueError):
+                _exact_quotient(c, d)
 
 
 class TestGl4Corner:
