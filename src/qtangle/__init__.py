@@ -2,16 +2,15 @@
 
 The core pipeline parses coloured oriented framed tangle diagrams and
 evaluates them on tensor products of the coloured modules V_m, slice by
-slice, to exact truncated Laurent series over Q, with each slice map in
-closed form.  Companion modules verify the desk-scale categorified
-computations this invariant decategorifies: Grassmannian cohomology with its
-free bimodule resolution, the nil-Hecke relations, quiver-algebra projector
-complexes, and the Ext/Poincare series of the colour-2 unknot.
+slice, to exact Laurent polynomials, with each slice map in closed form.
+Companion modules verify the desk-scale categorified computations this
+invariant decategorifies: Grassmannian cohomology with its free bimodule
+resolution, the nil-Hecke relations, quiver-algebra projector complexes, and
+the Ext/Poincare series of the colour-2 unknot.
 """
 
-from .qseries import (DEFAULT_PRECISION, LaurentSeries, BigradedPolynomial,
-                      quantum_integer, quantum_factorial, quantum_binomial,
-                      bigraded_expand_homofunknot)
+from .qseries import (LaurentSeries, BigradedPolynomial, quantum_integer,
+                      quantum_binomial, bigraded_expand_homofunknot)
 from .tangle import (BoundaryPoint, Slice, ColouredDiagram, MoveKind,
                      ParseError, ValidationError, parse, serialize, validate,
                      cable, writhe_gamma, enumerate_move_sites, apply_move,

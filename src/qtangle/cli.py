@@ -3,11 +3,13 @@
 Exit codes: 0 success, 1 verification failure, 2 tangle parse error,
 3 validation error, 64 unknown flags or bad usage.  Output is deterministic
 for identical argv and seed; ``--json`` switches every subcommand to a
-machine-readable summary.  The QTANGLE_PRECISION environment variable
-overrides the default precision, qseries.DEFAULT_PRECISION (64).  A closed
-link evaluates exactly whatever the precision; it sets the windows of open
-tangles' entries, and only those: the Jones-Wenzl and slide checks are
-exact, and take --precision only to echo it in their reproduce lines.
+machine-readable summary.  Every value is exact: eval, verify invariance,
+verify jones-wenzl and verify slides accept --precision (default
+DEFAULT_PRECISION, 64, or the QTANGLE_PRECISION environment variable) and
+check its range, but only echo it, in eval's report and in the reproduce
+lines.  eval of an open tangle reports its map in the integral basis at
+both ends, and names that basis per boundary point: w_k = v_k / [m, k] on a
+point of colour m >= 2 that points down, v_k on any other.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ import os
 import sys
 from fractions import Fraction
 
-from .qseries import DEFAULT_PRECISION, bigraded_expand_homofunknot
+from .qseries import bigraded_expand_homofunknot
 from .tangle import MoveKind, ParseError, ValidationError, parse, validate
 from .intertwiner import (charJW_check, jones_wenzl, jones_wenzl_divided,
                           slide_identity_checks)
-from .invariant import DiagramTooLarge, link_invariant, \
-    normalized_invariant, verify_invariance
+from .invariant import DiagramTooLarge, normalized_invariant, \
+    verify_invariance
 from .grasscoh import build_cohomology, wolffhardt_complex
 from .quiverkat import (euler_characteristic_vs_p2, ext_self_L1, gl2_algebra,
                         gl3_algebra, gl4_algebra, gl4_corner,
@@ -38,11 +40,11 @@ EXIT_VALIDATE = 3
 EXIT_USAGE = 64
 
 PRECISION_ENV = "QTANGLE_PRECISION"
+# the --precision echoed when neither the flag nor PRECISION_ENV sets one
+DEFAULT_PRECISION = 64
 MIN_PRECISION = 8
-# a bound on the work one request can ask for: at this precision, in a
-# fresh process on a 2-vCPU VM with Python 3.11, eval of the colour-3
-# trefoil takes 0.17-0.19 s and verify jones-wenzl --n 4 takes 0.13-0.21 s,
-# most of it in starting Python, as at any precision
+# the range --precision must lie in, checked before any work; the value
+# itself sets no work, as every value is exact
 MAX_PRECISION = 1024
 # the largest --n of verify jones-wenzl, whose maps are exact at any
 # --precision: p_n has 4^n entries, and p o p pairs up to 8^n of them.  In
@@ -154,7 +156,7 @@ def _cmd_eval(args) -> int:
         print(f"eval: validation error: {e}", file=sys.stderr)
         return EXIT_VALIDATE
     try:
-        res = normalized_invariant(d, args.precision)
+        res = normalized_invariant(d)
     except DiagramTooLarge as e:
         return _invalid("eval", str(e))
     is_link = not d.bottom and not top
@@ -176,11 +178,18 @@ def _cmd_eval(args) -> int:
         lines.append(f"value:   {series}")
     else:
         if args.json:  # the dense blocks; text mode prints only a count
+            report["basis"] = {"bottom": _basis(d.bottom), "top": _basis(top)}
             report["value"] = res.value.to_json()
         lines.append(f"value:   intertwiner with {len(res.value.columns)} "
                      "nonzero columns (use --json for entries)")
     _emit(report, args.json, lines)
     return EXIT_OK
+
+
+def _basis(points) -> list[str]:
+    """The basis of each boundary point's module that an open tangle's map
+    is written in: w on a point of colour >= 2 that points down, else v."""
+    return ["w" if not p.up and p.colour > 1 else "v" for p in points]
 
 
 def _cmd_verify_invariance(args) -> int:
@@ -204,7 +213,7 @@ def _cmd_verify_invariance(args) -> int:
              + (" --flip-gamma" if args.flip_gamma else ""))
     reports = verify_invariance(
         colours=args.colours, trials=args.trials, moves=moves,
-        precision=args.precision, seed=args.seed, n_slices=args.n_slices,
+        seed=args.seed, n_slices=args.n_slices,
         max_strands=args.max_strands, flip_gamma_sign=args.flip_gamma)
     failures = [r for r in reports if not r.ok]
     checks = [{
@@ -446,10 +455,8 @@ def _cmd_gor(args) -> int:
 
 def _add_precision(p: argparse.ArgumentParser) -> None:
     p.add_argument("--precision", type=int, default=_default_precision(),
-                   help=f"coefficients kept of a series that is not a "
-                        f"Laurent polynomial, an open tangle's entry; a "
-                        f"closed link and the jones-wenzl and slides "
-                        f"checks are exact at any precision (default "
+                   help=f"accepted and echoed, but changes nothing: "
+                        f"every value is exact (default "
                         f"{DEFAULT_PRECISION}, min {MIN_PRECISION}, max "
                         f"{MAX_PRECISION}; override default via "
                         f"{PRECISION_ENV})")

@@ -138,7 +138,7 @@ class Intertwiner:
                                 {i: img.scale(s) for i, img in self.columns})
 
     def shift(self, n: int) -> "Intertwiner":
-        """Multiply by q^n: every entry, and its window, moved up n degrees."""
+        """Multiply by q^n: every entry moved up n degrees."""
         return Intertwiner(self.source, self.target, tuple(
             (idx, ModuleElement(img.colours, tuple(
                 (jdx, c.shift(n)) for jdx, c in img.coords)))
@@ -148,14 +148,9 @@ class Intertwiner:
         return not self.columns
 
     def eq_upto(self, other: "Intertwiner") -> bool:
-        if (self.source, self.target) != (other.source, other.target):
-            return False
-        c1, c2 = dict(self.columns), dict(other.columns)
-        z = ModuleElement.zero(self.target)
-        for idx in set(c1) | set(c2):
-            if not c1.get(idx, z).eq_upto(c2.get(idx, z)):
-                return False
-        return True
+        """self == other, under the name the benchmark calls and traces:
+        every entry is exact, so equality is the only comparison."""
+        return self == other
 
     def scalar(self) -> LaurentSeries:
         """For maps with empty source and target: the single entry."""
@@ -309,7 +304,7 @@ def slide_identity_checks(n: int, k: int) -> bool:
     (1_{-n+2k} (x) 1) C_n = (1 (x) 1_{n-2k}) C_n
 
     Every term is exact: C_n, the closed divided powers, K powers and
-    weight projections, so the check takes no precision.
+    weight projections, so each side is compared with ==.
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
@@ -333,14 +328,14 @@ def slide_identity_checks(n: int, k: int) -> bool:
     rhs = kpow(rhs, k, 0, n)
     sign = -1 if k % 2 else 1
     rhs = rhs.scale(LaurentSeries.monomial(k * (k - 1), sign))
-    ok = ok and lhs.eq_upto(rhs)
+    ok = ok and lhs == rhs
 
     # E slide
     lhs = dp("E", k, c, 0, n)
     rhs = dp("E", k, c, n, 2 * n)
     rhs = kpow(rhs, k, n, 2 * n)
     rhs = rhs.scale(LaurentSeries.monomial(-k * (k - 1), sign))
-    ok = ok and lhs.eq_upto(rhs)
+    ok = ok and lhs == rhs
 
     # full divided power across the cups
     lhs = dp("F", n, c, 0, n)
@@ -348,7 +343,7 @@ def slide_identity_checks(n: int, k: int) -> bool:
     rhs = kpow(kpow(c, n, 0, n), n, n, 2 * n)
     rhs = dp("E", n, rhs, n, 2 * n)
     rhs = dp("F", n, rhs, n, 2 * n)
-    ok = ok and lhs.eq_upto(rhs)
+    ok = ok and lhs == rhs
 
     # weight projector slide
     def project_range(x, mu, lo, hi):
@@ -359,7 +354,7 @@ def slide_identity_checks(n: int, k: int) -> bool:
 
     lhs = project_range(c, -n + 2 * k, 0, n)
     rhs = project_range(c, n - 2 * k, n, 2 * n)
-    ok = ok and lhs.eq_upto(rhs)
+    ok = ok and lhs == rhs
     return ok
 
 
@@ -370,7 +365,7 @@ def is_intertwiner(A: Intertwiner) -> bool:
     for gen in ("E", "F", "K"):
         for idx in basis_indices(A.source):
             x = ModuleElement.basis_vector(A.source, idx)
-            if not A.apply(act(gen, x)).eq_upto(act(gen, A.apply(x))):
+            if A.apply(act(gen, x)) != act(gen, A.apply(x)):
                 return False
     return True
 

@@ -10,19 +10,22 @@ crossing of V_a and V_b from the quasi-R-matrix and the weight factor
 (Kirby-Melvin, Invent. Math. 105, 1991), a cap and a cup as signed
 monomials.  Each map is built straight into integer columns, its products
 multiplied as packed ints (packing), and every entry is an integer Laurent
-polynomial, so a closed link evaluates to an exact Laurent polynomial at any
-precision.  The maps are the cabled slices between Jones-Wenzl inclusions
+polynomial.  The maps are the cabled slices between Jones-Wenzl inclusions
 and projections, rescaled to the integral basis, but nothing here cables.
+
+An open tangle's map is returned in the same basis at both ends: its
+column idx is the image of the basis vector of index idx of the source (w
+on a down point of colour m >= 2, v elsewhere), written in that basis of
+the target.  So every entry is an integer Laurent polynomial, two sides of a
+move, which share a boundary, compare with ==, and a closed link, with no
+boundary, is its invariant.
 
 Every column under evaluation is a _State: per basis index, keyed by an
 int of bit fields, one per strand, the entry's integer coefficients packed
-into one int.  An open tangle's source vector v_k enters as [m, k] w_k on a
-down point, and _apply_local maps one state to the next with one big-int
-multiply per product, finding each entry's slot with shifts and masks.
-_finish makes the columns series once, dividing each entry on down target
-points back by long division: exactly when the quotient is a Laurent
-polynomial, else expanded to ``precision`` coefficients, the one place a
-window is made.  So evaluation makes no series product.
+into one int.  Each column starts as a unit vector, and _apply_local maps
+one state to the next with one big-int multiply per product, finding each
+entry's slot with shifts and masks.  _finish unpacks the columns once, so
+evaluation makes no series product and no division.
 normalized_invariant applies the framing q^(3 gamma), with gamma from
 tangle.writhe_gamma, as a shift of every entry.  phi_coloured refuses,
 before any work, a diagram whose slice states, one per source basis vector,
@@ -38,7 +41,7 @@ from math import prod
 from typing import NamedTuple
 
 from .packing import low_digit, pack, unpack, width
-from .qseries import DEFAULT_PRECISION, LaurentSeries, binomial_row
+from .qseries import LaurentSeries, binomial_row
 from .uqsl2 import ModuleElement, basis_indices
 from .intertwiner import Intertwiner
 from .tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
@@ -241,28 +244,12 @@ def _product(sign: int, *factors: LaurentSeries) -> LaurentSeries:
                          tuple(unpack(p, bits)))
 
 
-@lru_cache(maxsize=None)
-def _lattice(points: tuple[BoundaryPoint, ...],
-             idx: tuple[int, ...]) -> LaurentSeries:
-    """The product of [m, k] over the points of colour m that point down,
-    k their index: v_idx = _lattice(points, idx) w_idx."""
-    return _product(1, *(binomial_row(p.colour)[k]
-                         for p, k in zip(points, idx)
-                         if not p.up and p.colour > 1))
-
-
-def _basis_states(points: tuple[BoundaryPoint, ...]) -> dict:
-    """The basis vectors v_idx of the points' tensor product as states in
-    the integral basis."""
-    colours = tuple(p.colour for p in points)
-    out = {}
-    for idx in basis_indices(colours):
-        c = _lattice(points, idx)
-        bound = max(map(abs, c.coeffs))
-        bits = width(bound)
-        out[idx] = _State(colours, {_key(idx, colours): pack(c.coeffs, bits)},
-                          c.min_deg, bits, bound)
-    return out
+def _basis_states(colours: tuple[int, ...]) -> dict:
+    """The basis vectors of this tensor product as states: the unit vector
+    of each index, in whichever basis its strands carry."""
+    bits = width(1)
+    return {idx: _State(colours, {_key(idx, colours): 1}, 0, bits, 1)
+            for idx in basis_indices(colours)}
 
 
 def _apply_all(local: _Local, i: int, columns: dict) -> dict:
@@ -270,46 +257,11 @@ def _apply_all(local: _Local, i: int, columns: dict) -> dict:
     return {idx: _apply_local(local, i, v) for idx, v in columns.items()}
 
 
-def _divide(c: LaurentSeries, d: LaurentSeries,
-            precision: int) -> LaurentSeries:
-    """c / d for integral c and d, d's lowest coefficient 1: exact when d
-    divides c, else expanded to ``precision`` coefficients, up to degree
-    c.min_deg - d.min_deg + precision - 1.  Long division from the lowest
-    degree up divides no coefficient and makes no series product."""
-    r = list(c.coeffs)
-    n = len(r) - len(d.coeffs) + 1
-    tail = [(j, b) for j, b in enumerate(d.coeffs) if j and b]
-
-    def step(lo, hi):
-        for i in range(lo, hi):
-            a = r[i]
-            if a:
-                for j, b in tail:
-                    r[i + j] -= a * b
-
-    step(0, n)
-    lo = c.min_deg - d.min_deg
-    if n > 0 and not any(r[n:]):
-        return LaurentSeries(lo, tuple(r[:n]))
-    r += [0] * (precision + len(d.coeffs) - 1 - len(r))
-    step(max(n, 0), precision)
-    return LaurentSeries.make(lo, r[:max(precision, 0)], lo + precision - 1)
-
-
-def _finish(src: tuple[int, ...], top: tuple[BoundaryPoint, ...],
-            columns: dict, precision: int) -> Intertwiner:
-    """The map whose columns are these states, in series form and in the
-    basis v: each entry divided by the _lattice of its target index."""
-    tgt = tuple(p.colour for p in top)
-    out = {}
-    for idx, x in columns.items():
-        coords = []
-        for jdx, c in _element(x).coords:
-            d = _lattice(top, jdx)
-            coords.append((jdx, c if d.coeffs == (1,)
-                           else _divide(c, d, precision)))
-        out[idx] = ModuleElement(tgt, tuple(coords))
-    return Intertwiner.make(src, tgt, out)
+def _finish(src: tuple[int, ...], tgt: tuple[int, ...],
+            columns: dict) -> Intertwiner:
+    """The map whose columns are these states, unpacked."""
+    return Intertwiner.make(src, tgt, {idx: _element(x)
+                                       for idx, x in columns.items()})
 
 
 @lru_cache(maxsize=None)
@@ -405,14 +357,13 @@ MAX_STATE = 2 ** 20
 # the most closed-form map phi_coloured builds, summed over the distinct
 # slice maps of a diagram: each map's terms times a bound on a term's degree
 # span, (a+1)(b+1)(min(a,b)+1)(ab+1) for a crossing of colours a and b and
-# (m+1)(m^2/4+1) for a cup or cap of colour m.  A boundary point of colour m
-# that points down counts as a cap of colour m, for the binomial row its
-# basis change reads.  A map at the limit takes 0.014-0.019 s to build for
-# a crossing of colour 11 and under 1 ms for a cap of colour 100 (Python
-# 3.11.7 on a 2-core Xeon).  A cup or cap is only m + 1 monomials, but
-# _apply_local packs each term shifted by up to m^2/4 digits, so the
-# m^2/4 + 1 factor bounds the packed width it applies: with no guard, the
-# colour-200 unknot peaks at 27 MB and the colour-400 one at 105 MB.
+# (m+1)(m^2/4+1) for a cup or cap of colour m.  A map at the limit takes
+# 0.014-0.019 s to build for a crossing of colour 11 and under 1 ms for a
+# cap of colour 100 (Python 3.11.7 on a 2-core Xeon).  A cup or cap is
+# only m + 1 monomials, but _apply_local packs each term shifted by up to
+# m^2/4 digits, so the m^2/4 + 1 factor bounds the packed width it applies:
+# with no guard, the colour-200 unknot peaks at 27 MB and the colour-400
+# one at 105 MB.
 MAX_MAP_SIZE = 2 ** 18
 
 
@@ -446,8 +397,6 @@ def _check_size(d: ColouredDiagram, states: list) -> None:
             f"{columns} slice states of up to {size} basis vectors "
             f"are over the limit of {MAX_STATE}")
     maps = {_slice_key(s, state) for s, state in zip(d.slices, states)}
-    maps |= {("cap", (p.colour, p.colour), ())
-             for p in (*d.bottom, *states[-1]) if not p.up}
     size = sum(_map_size(kind, colours) for kind, colours, _ in maps)
     if size > MAX_MAP_SIZE:
         raise DiagramTooLarge(
@@ -455,44 +404,46 @@ def _check_size(d: ColouredDiagram, states: list) -> None:
             f"are over the limit of {MAX_MAP_SIZE}")
 
 
-def phi_coloured(d: ColouredDiagram,
-                 precision: int = DEFAULT_PRECISION) -> Intertwiner:
+def phi_coloured(d: ColouredDiagram) -> Intertwiner:
     """The intertwiner of a coloured diagram, in one exact pass.
 
-    A closed link's value is exact.  An open tangle's entry is exact when
-    it is a Laurent polynomial, and is otherwise expanded to ``precision``
-    coefficients.  A diagram whose slice states, one per source basis
-    vector, could hold more than MAX_STATE entries, or whose slice maps are
-    over MAX_MAP_SIZE, is refused with DiagramTooLarge before any work.
+    Both ends are in the integral basis: w_k = v_k / [m, k] on a point of
+    colour m >= 2 that points down, v_k on any other, so every entry is an
+    integer Laurent polynomial.  A diagram whose slice states, one per
+    source basis vector, could hold more than MAX_STATE entries, or whose
+    slice maps are over MAX_MAP_SIZE, is refused with DiagramTooLarge before
+    any work.
     """
     states = boundary_states(d)
     _check_size(d, states)
-    return _phi_coloured_once(d, states, precision)
+    return _phi_coloured_once(d, states)
 
 
-def _phi_coloured_once(d: ColouredDiagram, states: list,
-                       precision: int) -> Intertwiner:
-    columns = _basis_states(d.bottom)
+def _phi_coloured_once(d: ColouredDiagram, states: list) -> Intertwiner:
+    src = tuple(p.colour for p in d.bottom)
+    columns = _basis_states(src)
     for s, state in zip(d.slices, states):
         columns = _apply_all(_coloured_local(*_slice_key(s, state)), s.pos,
                              columns)
-    return _finish(tuple(p.colour for p in d.bottom), tuple(states[-1]),
-                   columns, precision)
+    return _finish(src, tuple(p.colour for p in states[-1]), columns)
 
 
-def normalized_invariant(d: ColouredDiagram, precision: int = DEFAULT_PRECISION,
+def normalized_invariant(d: ColouredDiagram, precision=None,
                          flip_gamma_sign: bool = False) -> InvariantResult:
+    """phi_coloured(d) times the framing factor q^(3 gamma).  ``precision``
+    is ignored, as every value is exact; it is kept for callers that pass
+    one."""
     gamma = writhe_gamma(d, flip_sign=flip_gamma_sign)
-    raw = phi_coloured(d, precision)
-    return InvariantResult(raw.shift(3 * gamma), gamma, True)
+    return InvariantResult(phi_coloured(d).shift(3 * gamma), gamma, True)
 
 
-def link_invariant(d: ColouredDiagram,
-                   precision: int = DEFAULT_PRECISION) -> LaurentSeries:
+def link_invariant(d: ColouredDiagram, precision=None) -> LaurentSeries:
+    """The invariant of a closed diagram, an exact Laurent polynomial.
+    ``precision`` is ignored, as in normalized_invariant."""
     top = validate(d)
     if d.bottom or top:
         raise ValueError("link_invariant needs empty bottom and top boundaries")
-    return normalized_invariant(d, precision).scalar()
+    return normalized_invariant(d).scalar()
 
 
 
@@ -510,7 +461,7 @@ MAX_DRAWS_PER_TRIAL = 20
 
 def verify_invariance(colours: int = 1, trials: int = 50,
                       moves: tuple[MoveKind, ...] = (MoveKind.R2,),
-                      precision: int = 48, seed: int = 0,
+                      seed: int = 0,
                       n_slices: int = 6, max_strands: int = 6,
                       flip_gamma_sign: bool = False) -> list[TrialReport]:
     """Random move-invariance trials; every entry should come back ok.
@@ -542,9 +493,10 @@ def verify_invariance(colours: int = 1, trials: int = 50,
         loc = sites[trng.randrange(len(sites))]
         try:
             d2 = apply_move(d, move, loc)
-            a = normalized_invariant(d, precision, flip_gamma_sign).value
-            b = normalized_invariant(d2, precision, flip_gamma_sign).value
-            ok = a.eq_upto(b)
+            # the two sides share a boundary, so also its basis
+            a = normalized_invariant(d, flip_gamma_sign=flip_gamma_sign)
+            b = normalized_invariant(d2, flip_gamma_sign=flip_gamma_sign)
+            ok = a.value == b.value
             detail = "" if ok else "invariant changed"
         except Exception as e:  # report, do not crash the harness
             ok = False

@@ -1,23 +1,19 @@
-"""Exact truncated Laurent series over Q, quantum integers, bigraded polynomials.
+"""Exact Laurent polynomials over Q, quantum integers, bigraded polynomials.
 
-A LaurentSeries stores exact rational coefficients together with an explicit
-validity window: coefficients of q^d are guaranteed correct for all d up to
-``valid_to`` (inclusive).  ``valid_to is None`` means the element is an exact
-Laurent polynomial, correct in every degree.  Arithmetic never widens a
-window, so every reported coefficient is trustworthy.
-
-A coefficient is a Python ``int`` when it is integral and a ``Fraction``
-otherwise; every true division goes through ``Fraction``, so no float ever
-appears.  The invariants are integral, so the hot path runs on ints.
+A LaurentSeries is an exact Laurent polynomial with rational coefficients,
+stored from its lowest nonzero degree up.  A coefficient is a Python ``int``
+when it is integral and a ``Fraction`` otherwise; every true division goes
+through ``Fraction``, so no float ever appears.  The invariants are
+integral, so the hot path runs on ints.  Each polynomial has one
+representation, so ``==`` is equality of polynomials.
 
 A product of two lone series, ``LaurentSeries.__mul__``, goes through the
 convolution kernel ``convolve_into``, which works on the degree ->
-coefficient form of a series (``support()``) and is windowed by
-``product_window``.  The products in bulk do not: the evaluation states of
-``invariant`` and the module maps of ``uqsl2.scaled_sum`` (the scale, apply
-and composition of ``uqsl2`` and ``intertwiner``) pack each entry's integer
-coefficients into one int (``packing``) and multiply those, windowed by the
-same ``product_window``.
+coefficient form of a series (``support()``).  The products in bulk do not:
+the evaluation states of ``invariant`` and the module maps of
+``uqsl2.scaled_sum`` (the scale, apply and composition of ``uqsl2`` and
+``intertwiner``) pack each entry's integer coefficients into one int
+(``packing``) and multiply those.
 """
 
 from __future__ import annotations
@@ -28,20 +24,14 @@ from functools import lru_cache
 from typing import Iterable, Mapping
 
 __all__ = [
-    "DEFAULT_PRECISION",
     "LaurentSeries",
     "BigradedPolynomial",
     "convolve_into",
-    "product_window",
     "quantum_integer",
-    "quantum_factorial",
     "quantum_binomial",
     "binomial_row",
     "bigraded_expand_homofunknot",
 ]
-
-# Number of coefficients produced by series inversion unless told otherwise.
-DEFAULT_PRECISION = 64
 
 
 def _coef(c):
@@ -53,35 +43,23 @@ def _coef(c):
     return c.numerator if c.denominator == 1 else c
 
 
-def _min_valid(a: int | None, b: int | None) -> int | None:
-    if a is None:
-        return b
-    if b is None:
-        return a
-    return min(a, b)
-
-
 @dataclass(frozen=True)
 class LaurentSeries:
-    """Truncated element of Q((q)).
+    """Element of Q[q, q^-1].
 
     ``coeffs[i]`` is the coefficient of ``q**(min_deg + i)``, an int when
-    integral and a Fraction otherwise.  The zero series is the canonical
-    representative with an empty coefficient tuple.
+    integral and a Fraction otherwise, with neither the first nor the last
+    zero.  The zero series is the canonical representative with an empty
+    coefficient tuple and ``min_deg`` 0.
     """
 
     min_deg: int
     coeffs: tuple[int | Fraction, ...]
-    valid_to: int | None = None
 
     @staticmethod
-    def make(min_deg: int, coeffs: Iterable, valid_to: int | None = None) -> "LaurentSeries":
+    def make(min_deg: int, coeffs: Iterable) -> "LaurentSeries":
         # skip the call for ints; this sits on the hottest path
         cs = [c if type(c) is int else _coef(c) for c in coeffs]
-        # clamp stored data to the validity window
-        if valid_to is not None:
-            keep = valid_to - min_deg + 1
-            cs = cs[:max(keep, 0)]
         while cs and cs[0] == 0:
             cs.pop(0)
             min_deg += 1
@@ -89,11 +67,11 @@ class LaurentSeries:
             cs.pop()
         if not cs:
             min_deg = 0
-        return LaurentSeries(min_deg, tuple(cs), valid_to)
+        return LaurentSeries(min_deg, tuple(cs))
 
     @staticmethod
-    def zero(valid_to: int | None = None) -> "LaurentSeries":
-        return LaurentSeries(0, (), valid_to)
+    def zero() -> "LaurentSeries":
+        return LaurentSeries(0, ())
 
     @staticmethod
     def one() -> "LaurentSeries":
@@ -104,13 +82,12 @@ class LaurentSeries:
         return LaurentSeries.make(deg, [coeff])
 
     @staticmethod
-    def from_dict(d: Mapping[int, int | Fraction],
-                  valid_to: int | None = None) -> "LaurentSeries":
+    def from_dict(d: Mapping[int, int | Fraction]) -> "LaurentSeries":
         if not d:
-            return LaurentSeries.zero(valid_to)
+            return LaurentSeries.zero()
         lo = min(d)
         hi = max(d)
-        return LaurentSeries.make(lo, [d.get(i, 0) for i in range(lo, hi + 1)], valid_to)
+        return LaurentSeries.make(lo, [d.get(i, 0) for i in range(lo, hi + 1)])
 
     # -- queries ----------------------------------------------------------
 
@@ -124,7 +101,7 @@ class LaurentSeries:
         return 0
 
     def top_deg(self) -> int | None:
-        """Highest stored nonzero degree, or None for the zero series."""
+        """Highest nonzero degree, or None for the zero series."""
         if not self.coeffs:
             return None
         return self.min_deg + len(self.coeffs) - 1
@@ -135,83 +112,47 @@ class LaurentSeries:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        v = _min_valid(self.valid_to, other.valid_to)
         d = dict(self.support())
         for k, c in other.support().items():
             d[k] = d.get(k, 0) + c
-        return LaurentSeries.from_dict(d, v)
+        return LaurentSeries.from_dict(d)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.min_deg, tuple(-c for c in self.coeffs), self.valid_to)
+        return LaurentSeries(self.min_deg, tuple(-c for c in self.coeffs))
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        v = product_window(self.min_deg, self.valid_to,
-                           other.min_deg, other.valid_to)
         out: dict[int, int | Fraction] = {}
         convolve_into(out, enumerate(self.coeffs, self.min_deg),
-                      other.support(), v)
-        return LaurentSeries.from_dict(out, v)
+                      other.support())
+        return LaurentSeries.from_dict(out)
 
     def scale(self, c) -> "LaurentSeries":
         c = _coef(c)
         if c == 0:
-            return LaurentSeries.zero(self.valid_to)
-        return LaurentSeries(self.min_deg, tuple(_coef(c * x) for x in self.coeffs),
-                             self.valid_to)
+            return LaurentSeries.zero()
+        return LaurentSeries(self.min_deg, tuple(_coef(c * x) for x in self.coeffs))
 
     def shift(self, n: int) -> "LaurentSeries":
         """Multiply by q**n."""
         if self.is_zero():
-            return LaurentSeries.zero(None if self.valid_to is None else self.valid_to + n)
-        return LaurentSeries(self.min_deg + n, self.coeffs,
-                             None if self.valid_to is None else self.valid_to + n)
+            return self
+        return LaurentSeries(self.min_deg + n, self.coeffs)
 
-    def invert(self, precision: int | None = None) -> "LaurentSeries":
+    def invert(self) -> "LaurentSeries":
+        """The inverse of a unit of Z[q, q^-1], +-q^k; ValueError for any
+        other series, whose inverse is not a Laurent polynomial."""
         if self.is_zero():
             raise ZeroDivisionError("division by zero series")
-        if precision is None:
-            precision = DEFAULT_PRECISION
-        m = self.min_deg
-        # window of the result
-        if self.valid_to is None:
-            v = -m + precision - 1
-        else:
-            v = min(self.valid_to - 2 * m, -m + precision - 1)
-        n_terms = v + m + 1  # coefficients of the unit part to produce
-        if n_terms <= 0:
-            return LaurentSeries.zero(v)
-        a = self.coeffs
-        # an int when the leading coefficient is +-1
-        inv0 = _coef(Fraction(1, a[0]))
-        b = [0] * n_terms
-        b[0] = inv0
-        for i in range(1, n_terms):
-            s = 0
-            for j in range(1, min(i, len(a) - 1) + 1):
-                s += a[j] * b[i - j]
-            b[i] = -inv0 * s
-        return LaurentSeries.make(-m, b, v)
+        if self.coeffs not in ((1,), (-1,)):
+            raise ValueError(f"{self} is not a unit +-q^k")
+        return LaurentSeries(-self.min_deg, self.coeffs)
 
     def bar(self) -> "LaurentSeries":
-        """Apply q -> q^{-1}.  Only meaningful for exact polynomials."""
-        if self.valid_to is not None:
-            raise ValueError("bar involution needs an exact polynomial")
-        d = {-k: c for k, c in self.support().items()}
-        return LaurentSeries.from_dict(d, None)
-
-    def eq_upto(self, other: "LaurentSeries") -> bool:
-        """Equality on the common validity window."""
-        v = _min_valid(self.valid_to, other.valid_to)
-        sa, sb = self.support(), other.support()
-        for k in set(sa) | set(sb):
-            if v is not None and k > v:
-                continue
-            if sa.get(k, 0) != sb.get(k, 0):
-                return False
-        return True
+        """Apply q -> q^{-1}."""
+        return LaurentSeries.from_dict({-k: c for k, c in self.support().items()})
 
     def eval_at_one(self) -> int | Fraction:
         return _coef(sum(self.coeffs))
@@ -223,72 +164,46 @@ class LaurentSeries:
 
     def __str__(self) -> str:
         if self.is_zero():
-            body = "0"
-        else:
-            parts = []
-            for k, c in sorted(self.support().items()):
-                if k == 0:
-                    term = str(c)
+            return "0"
+        parts = []
+        for k, c in sorted(self.support().items()):
+            if k == 0:
+                term = str(c)
+            else:
+                qs = "q" if k == 1 else f"q^{k}"
+                if c == 1:
+                    term = qs
+                elif c == -1:
+                    term = "-" + qs
                 else:
-                    qs = "q" if k == 1 else f"q^{k}"
-                    if c == 1:
-                        term = qs
-                    elif c == -1:
-                        term = "-" + qs
-                    else:
-                        term = f"{c}*{qs}"
-                parts.append(term)
-            body = " + ".join(parts).replace("+ -", "- ")
-        if self.valid_to is not None:
-            body += f" + O(q^{self.valid_to + 1})"
-        return body
+                    term = f"{c}*{qs}"
+            parts.append(term)
+        return " + ".join(parts).replace("+ -", "- ")
 
     def to_json(self) -> dict:
+        # every value is exact, so the window key is always null; it keeps
+        # the schema that readers of earlier outputs parse
         return {
             "min_deg": self.min_deg,
-            "valid_to": self.valid_to,
+            "valid_to": None,
             "coeffs": [str(c) for c in self.coeffs],
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "LaurentSeries":
-        return LaurentSeries.make(d["min_deg"], [Fraction(c) for c in d["coeffs"]], d["valid_to"])
 
 
 # -- the convolution kernel -------------------------------------------------
 
-def product_window(lo_a: int, va: int | None, lo_b: int,
-                   vb: int | None) -> int | None:
-    """Validity window of a product of two factors with lowest degrees lo_a,
-    lo_b (0 for zero) and windows va, vb: each factor's window shifted by
-    the other's lowest degree."""
-    if va is None:
-        return None if vb is None else vb + lo_a
-    if vb is None:
-        return va + lo_b
-    return min(va + lo_b, vb + lo_a)
-
-
-def convolve_into(out: dict, a: Iterable, b: Mapping, v: int | None) -> None:
-    """Add the coefficients of a * b up to degree v (all if None) into out.
+def convolve_into(out: dict, a: Iterable, b: Mapping) -> None:
+    """Add the coefficients of a * b into out.
 
     a is a sequence of (degree, coefficient) pairs, read once; b and out
     map degree to coefficient.  A zero coefficient of a is skipped; b holds
     only nonzero ones.
     """
     get = out.get
-    if v is None:
-        for i, x in a:
-            if x:
-                for j, y in b.items():
-                    out[i + j] = get(i + j, 0) + x * y
-        return
     for i, x in a:
         if x:
-            lim = v - i
             for j, y in b.items():
-                if j <= lim:
-                    out[i + j] = get(i + j, 0) + x * y
+                out[i + j] = get(i + j, 0) + x * y
 
 
 # -- quantum combinatorics --------------------------------------------------
@@ -300,14 +215,6 @@ def quantum_integer(k: int) -> LaurentSeries:
     if k == 0:
         return LaurentSeries.zero()
     return LaurentSeries.make(-(k - 1), [1 if i % 2 == 0 else 0 for i in range(2 * k - 1)])
-
-
-@lru_cache(maxsize=None)
-def quantum_factorial(k: int) -> LaurentSeries:
-    out = LaurentSeries.one()
-    for i in range(1, k + 1):
-        out = out * quantum_integer(i)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -281,14 +281,14 @@ def _standard_module_ids(A: GradedQuotientAlgebra, v: int, smaller) -> list[int]
 
 
 def _exact_quotient(c: LaurentSeries, d: LaurentSeries) -> LaurentSeries:
-    """c / d for exact c and d by long division from the lowest degree;
-    ValueError unless it is a Laurent polynomial, which is never expanded."""
+    """c / d by long division from the lowest degree; ValueError unless it
+    is a Laurent polynomial."""
     r, out = list(c.coeffs), []
     for i in range(len(r) - len(d.coeffs) + 1):
         out.append(Fraction(r[i], d.coeffs[0]))
         for j, b in enumerate(d.coeffs):
             r[i + j] -= out[-1] * b
-    if any(r) or c.valid_to is not None or d.valid_to is not None:
+    if any(r):
         raise ValueError(f"({c}) / ({d}) is not a Laurent polynomial")
     return LaurentSeries.make(c.min_deg - d.min_deg, out)
 

@@ -1,7 +1,8 @@
 """The quantum sl2 action on irreducibles V_n and their tensor products.
 
 Elements of V_{d_1} (x) ... (x) V_{d_r} are sparse maps from basis index
-tuples to Laurent series.  The generator action on a single factor is
+tuples to exact Laurent polynomials, with only the nonzero entries kept, in
+index order, so ``==`` compares elements.  The generator action on a single factor is
 
     K^{+-1} v_i = q^{+-(2i-n)} v_i,   E v_i = [i+1] v_{i+1},   F v_i = [n-i+1] v_{i-1},
 
@@ -24,8 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .packing import low_digit, pack, unpack, width
-from .qseries import (LaurentSeries, product_window, quantum_binomial,
-                      quantum_integer)
+from .qseries import LaurentSeries, quantum_binomial, quantum_integer
 
 __all__ = [
     "ModuleElement",
@@ -38,7 +38,6 @@ __all__ = [
     "act_on_range",
     "divided_power_act",
     "divided_power_act_closed",
-    "weight_projector",
     "bilinear_form",
     "seq_stats",
     "weight",
@@ -86,8 +85,7 @@ class ModuleElement:
             idx = tuple(idx)
             if len(idx) != len(colours) or any(not 0 <= a <= d for a, d in zip(idx, colours)):
                 raise ValueError(f"index {idx} invalid for colours {colours}")
-            # a series that is zero on its window keeps the window
-            if c.coeffs or c.valid_to is not None:
+            if c.coeffs:
                 clean.append((idx, c))
         clean.sort(key=lambda t: t[0])
         return ModuleElement(colours, tuple(clean))
@@ -122,14 +120,6 @@ class ModuleElement:
     def is_zero(self) -> bool:
         return not self.coords
 
-    def eq_upto(self, other: "ModuleElement") -> bool:
-        d1, d2 = self.as_dict(), other.as_dict()
-        zero = LaurentSeries.zero()
-        for idx in set(d1) | set(d2):
-            if not d1.get(idx, zero).eq_upto(d2.get(idx, zero)):
-                return False
-        return True
-
     def to_json(self) -> list[dict]:
         return [{"index": list(i), "series": c.to_json()} for i, c in self.coords]
 
@@ -158,9 +148,9 @@ def l1(c: LaurentSeries) -> int:
 
 
 def pack_series(c: LaurentSeries, bits: int) -> tuple:
-    """The pack step for one series: (packed coefficients, lowest degree,
-    window)."""
-    return pack(c.coeffs, bits), c.min_deg, c.valid_to
+    """The pack step for one series: (packed coefficients, lowest
+    degree)."""
+    return pack(c.coeffs, bits), c.min_deg
 
 
 def pack_element(coords, bits: int) -> list:
@@ -177,36 +167,28 @@ def accumulate(colours, terms, bits: int) -> ModuleElement:
 
     An output entry is one multiply of packed ints per contributing pair,
     its sum kept packed from its lowest degree so far and moved up when a
-    lower term arrives, and it is unpacked once.  Its window is the
-    smallest product_window of its terms, so a sum that vanishes on its
-    window keeps it.
+    lower term arrives, and it is unpacked once.  An entry that cancels is
+    dropped.
     """
     acc: dict[tuple[int, ...], list] = {}
     get = acc.get
-    for entries, (pc, lc, vc) in terms:
-        for idx, (pa, la, va) in entries:
+    for entries, (pc, lc) in terms:
+        for idx, (pa, la) in entries:
             lo = la + lc
             p = pa * pc
-            v = product_window(la, va, lc, vc)
             got = get(idx)
             if got is None:
-                acc[idx] = [lo, p, v]
-                continue
-            if lo >= got[0]:
+                acc[idx] = [lo, p]
+            elif lo >= got[0]:
                 got[1] += p << bits * (lo - got[0])
             else:
                 got[0], got[1] = lo, (got[1] << bits * (got[0] - lo)) + p
-            if v is not None and (got[2] is None or v < got[2]):
-                got[2] = v
     out = []
-    for idx, (lo, p, v) in sorted(acc.items()):
+    for idx, (lo, p) in sorted(acc.items()):
         if p:
             j = low_digit(p, bits)
-            cs = unpack(p >> bits * j, bits)
-            out.append((idx, LaurentSeries(lo + j, tuple(cs)) if v is None
-                        else LaurentSeries.make(lo + j, cs, v)))
-        elif v is not None:
-            out.append((idx, LaurentSeries.zero(v)))
+            out.append((idx, LaurentSeries(lo + j,
+                                           tuple(unpack(p >> bits * j, bits)))))
     return ModuleElement(tuple(colours), tuple(out))
 
 
@@ -326,11 +308,6 @@ def _dp_terms(gen: str, k: int, colours, index, lo: int, hi: int):
 # E^(k) or F^(k) on every slot, under the name intertwiner calls it by,
 # which the benchmark's tracer (perfbench/tracing.py) hooks
 divided_power_act = divided_power_act_closed
-
-
-def weight_projector(mu: int, x: ModuleElement) -> ModuleElement:
-    return ModuleElement.make(
-        x.colours, {i: c for i, c in x.coords if weight(x.colours, i) == mu})
 
 
 def bilinear_form(n: int, k: int, l: int) -> LaurentSeries:

@@ -1,13 +1,12 @@
-"""Colour-1 cups, caps and crossings built by hand at full width, and the
-windowed projection pi_n.
+"""Colour-1 cups, caps and crossings built by hand at full width.
 
 The tests' reference for the evaluator's slice maps: each map is written out
 on V_1 (x) V_1 and placed among identity strands with ``Intertwiner.tensor``,
 so it shares nothing with ``invariant._coloured_local`` or ``_apply_local``.
 """
 
-from qtangle.intertwiner import Intertwiner, projection
-from qtangle.qseries import LaurentSeries, binomial_row
+from qtangle.intertwiner import Intertwiner
+from qtangle.qseries import LaurentSeries
 from qtangle.uqsl2 import ModuleElement
 
 
@@ -78,15 +77,3 @@ def crossing_neg(n: int, i: int) -> Intertwiner:
     mid = turnback().scale(LaurentSeries.monomial(1, -1)) + \
         Intertwiner.identity((1, 1)).scale(LaurentSeries.monomial(2, -1))
     return positioned(mid, i, n)
-
-
-def windowed_projection(n: int, precision: int) -> Intertwiner:
-    """pi_n : V_1^{(x) n} -> V_n in the basis v of V_n: the entries of the
-    exact projection(n) = [n, k] pi_n times the inverse of [n, k], a series
-    of ``precision`` coefficients."""
-    inv = [c.invert(precision) for c in binomial_row(n)]
-    p = projection(n)
-    return Intertwiner.make(p.source, p.target, {
-        a: ModuleElement.make(p.target, {k: c * inv[k[0]]
-                                         for k, c in img.coords})
-        for a, img in p.columns})

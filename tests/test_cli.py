@@ -59,6 +59,35 @@ class TestEval:
         assert code == EXIT_OK
         assert "value" in json.loads(out)
 
+    def test_open_tangle_names_its_basis(self, capsys, tmp_path,
+                                         unknot_file):
+        # w on a point of colour >= 2 that points down, v on any other; a
+        # closed link has no boundary and reports no basis
+        f = tmp_path / "open.tangle"
+        f.write_text("bottom +2 -2 -1\npos 1\n")
+        code, out, _ = run(capsys, ["eval", str(f), "--json"])
+        assert code == EXIT_OK
+        assert json.loads(out)["basis"] == {"bottom": ["v", "w", "v"],
+                                            "top": ["w", "v", "v"]}
+        code, out, _ = run(capsys, ["eval", unknot_file, "--json"])
+        assert code == EXIT_OK and "basis" not in json.loads(out)
+
+    def test_open_tangle_precision_changes_nothing(self, capsys, tmp_path):
+        # every entry is exact: the report is the same at the smallest and
+        # the largest precision once the echoed value is masked
+        f = tmp_path / "open.tangle"
+        f.write_text("bottom -2 +3\npos 1\ncup 2 2 d\nneg 1\n")
+        reports = []
+        for precision in (MIN_PRECISION, MAX_PRECISION):
+            code, out, _ = run(capsys, ["eval", str(f), "--json",
+                                        "--precision", str(precision)])
+            assert code == EXIT_OK
+            reports.append(out.replace(f'"precision": {precision},',
+                                       '"precision": P,'))
+        assert reports[0] == reports[1]
+        assert '"precision": P,' in reports[0]
+        assert json.loads(out)["value"]["blocks"]
+
     def test_text_mode_builds_no_json_blocks(self, capsys, tmp_path,
                                              monkeypatch):
         def refuse(self):

@@ -19,7 +19,8 @@ eigenvalue sum of the torus knots and links T(2, n).
 Open tangles go to the composite of the cabled slice maps of
 ``test_invariant.cabled_map``, each placed at full width with
 ``Intertwiner.tensor`` and composed with ``@``: the evaluator applies the
-closed-form maps on a packed local state, and shares none of that.
+closed-form maps on a packed local state, and shares none of that.  Both
+are in the integral basis at both ends, so they compare with ==.
 """
 
 import random
@@ -35,7 +36,7 @@ from qtangle.qseries import LaurentSeries, quantum_integer
 from qtangle.tangle import (BoundaryPoint, boundary_states, cable, parse,
                             random_diagram, random_link)
 
-from test_invariant import PREC, braid_closure, cabled_map
+from test_invariant import braid_closure, cabled_map
 
 # -- Laurent polynomials in A, as {exponent: int} -------------------------------
 
@@ -216,20 +217,15 @@ def state_sum(d) -> dict:
     return value
 
 
-def closed_mismatch(d, precision: int) -> list[str]:
-    """Where link_invariant(d, precision) differs from the state sum on its
-    window, which must reach the state sum's lowest term."""
+def closed_mismatch(d) -> list[str]:
+    """Where link_invariant(d) differs from the state sum."""
     want = state_sum(d)
-    got = link_invariant(d, precision)
-    top = got.valid_to
     if not want:
         return ["the state sum is zero"]
-    if top is not None and top < min(want):
-        return [f"window {top} ends below q^{min(want)}"]
-    have = got.support()
+    have = link_invariant(d).support()
     return [f"q^{e}: {have.get(e, 0)} != {want.get(e, 0)}"
             for e in sorted(set(want) | set(have))
-            if (top is None or e <= top) and have.get(e, 0) != want.get(e, 0)]
+            if have.get(e, 0) != want.get(e, 0)]
 
 
 class TestStateSum:
@@ -269,60 +265,43 @@ BRAIDS = [braid_closure([1, 1, 1], [3, 3]), braid_closure([1, 1], [2, 3])]
 
 
 class TestClosedLinks:
-    """link_invariant against the state sum, every coefficient on its
-    window."""
+    """link_invariant against the state sum, every coefficient."""
 
     @pytest.mark.parametrize("text", BRAIDS)
     def test_braid_closures(self, text):
         d = parse(text)
-        assert closed_mismatch(d, 32) == []
+        assert closed_mismatch(d) == []
 
     @pytest.mark.parametrize("seed", range(24))
     def test_seeded_links(self, seed):
         d = random_link(8, 1 + seed % 3, seed, max_width=6)
-        assert closed_mismatch(d, 32) == [], d.name
+        assert closed_mismatch(d) == [], d.name
 
     def test_windowed_zero_is_not_exact(self):
         # once evaluated to the exact 0 at precision 16
         d = random_link(10, 3, 61)
-        assert closed_mismatch(d, 16) == []
+        assert closed_mismatch(d) == []
 
     def test_nested_colour_four_cups(self):
         # once printed as the exact 0 at precisions 24 and 32, and with a
-        # window at 16 and 48
+        # window at 16 and 48; the precision is ignored
         d = parse("bottom\ncup 1 4 u\ncup 2 4 u\n" + "pos 2\n" * 3 +
                   "cap 2\ncap 1\n")
         values = [link_invariant(d, p) for p in (16, 24, 32, 48)]
-        assert values[0].valid_to is None and not values[0].is_zero()
+        assert not values[0].is_zero()
         assert all(v == values[0] for v in values)
 
 
 class TestPrecision:
-    """Values at two precisions, with no oracle: a closed link's is exact
-    and the same at both, and an open tangle's agree on their common
-    window, each windowed entry carrying at least ``precision``
-    coefficients."""
+    """link_invariant ignores the precision it is given: a closed link's
+    value is the same at any two."""
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10 ** 6), st.sampled_from([8, 16, 24]),
            st.sampled_from([32, 48]))
     def test_closed_links_are_exact(self, seed, p1, p2):
         d = random_link(10, 1 + seed % 3, seed, max_width=6)
-        a, b = link_invariant(d, p1), link_invariant(d, p2)
-        assert a.valid_to is None and a == b, d.name
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10 ** 6), st.sampled_from([8, 16, 24]),
-           st.sampled_from([32, 48]))
-    def test_open_tangles_agree_on_their_windows(self, seed, p1, p2):
-        d = seeded_open(seed)
-        a, b = phi_coloured(d, p1), phi_coloured(d, p2)
-        assert a.eq_upto(b), d.name
-        for value, p in ((a, p1), (b, p2)):
-            for _, img in value.columns:
-                for _, c in img.coords:
-                    assert c.valid_to is None or \
-                        c.valid_to - c.min_deg + 1 >= p, d.name
+        assert link_invariant(d, p1) == link_invariant(d, p2), d.name
 
 
 def figure_eight(m: int, first: str = "pos"):
@@ -330,6 +309,12 @@ def figure_eight(m: int, first: str = "pos"):
     is flipped."""
     return parse(f"bottom\ncup 1 {m} u\ncup 2 {m} u\ncup 3 {m} u\n"
                  f"{first} 1\nneg 2\npos 1\nneg 2\ncap 3\ncap 2\ncap 1\n")
+
+
+def plat_figure_eight(m: int):
+    """The colour-m figure-eight as a plat of width 4."""
+    return parse(f"bottom\ncup 1 {m} u\ncup 3 {m} u\npos 2\npos 2\n"
+                 f"neg 1\nneg 1\ncap 2\ncap 1\n")
 
 
 def habiro(m: int) -> LaurentSeries:
@@ -350,11 +335,18 @@ class TestHabiro:
 
     @pytest.mark.parametrize("m", range(1, 7))
     def test_figure_eight(self, m):
-        assert link_invariant(figure_eight(m), 16) == habiro(m)
+        assert link_invariant(figure_eight(m)) == habiro(m)
 
     @pytest.mark.parametrize("m", range(1, 4))
     def test_flipped_crossing_differs(self, m):
-        assert link_invariant(figure_eight(m, "neg"), 16) != habiro(m)
+        assert link_invariant(figure_eight(m, "neg")) != habiro(m)
+
+    # the braid closure crosses only strands that point up; the plat
+    # crosses strands of opposite orientation, so these reach the maps of
+    # a down strand at high colour
+    @pytest.mark.parametrize("m", [7, 8])
+    def test_plat_figure_eight(self, m):
+        assert link_invariant(plat_figure_eight(m)) == habiro(m)
 
 
 def ballot(m: int, j: int) -> int:
@@ -397,7 +389,7 @@ class TestCablingIdentity:
     @pytest.mark.parametrize("word", CABLED_WORDS, ids=["+++", "+++++", "-++"])
     def test_two_strand_closures(self, word, m):
         left, right = cabling_sides(word, m)
-        assert left.valid_to is None and left == right
+        assert left == right
 
     @pytest.mark.parametrize("word", CABLED_WORDS, ids=["+++", "+++++", "-++"])
     def test_dropped_framing_factor_differs(self, word):
@@ -446,45 +438,28 @@ class TestTorusKnots:
     @pytest.mark.parametrize("n,m", TORUS_CASES)
     def test_two_strand_closures(self, n, m):
         word = [1 if n > 0 else -1] * abs(n)
-        value = link_invariant(parse(braid_closure(word, [m, m])), 16)
-        assert value.valid_to is None and value == torus(n, m)
+        value = link_invariant(parse(braid_closure(word, [m, m])))
+        assert value == torus(n, m)
 
     def test_a_cancelling_pair_is_the_one_crossing_formula(self):
-        value = link_invariant(parse(braid_closure([1, 1, -1], [3, 3])), 16)
+        value = link_invariant(parse(braid_closure([1, 1, -1], [3, 3])))
         assert value != torus(3, 3) and value == torus(1, 3)
 
 
-def window_narrowing(ref: Intertwiner, got: Intertwiner) -> list[str]:
-    """Entries where got differs from ref on their common window, or where
-    got is truncated below ref's window."""
-    assert (ref.source, ref.target) == (got.source, got.target)
-    c1, c2 = dict(ref.columns), dict(got.columns)
-    bad = []
-    for idx in set(c1) | set(c2):
-        e1 = dict(c1[idx].coords) if idx in c1 else {}
-        e2 = dict(c2[idx].coords) if idx in c2 else {}
-        for jdx in set(e1) | set(e2):
-            a = e1.get(jdx, LaurentSeries.zero())
-            b = e2.get(jdx, LaurentSeries.zero())
-            if not a.eq_upto(b):
-                bad.append(f"{idx}->{jdx}: values differ")
-            elif b.valid_to is not None and (a.valid_to is None
-                                             or b.valid_to < a.valid_to):
-                bad.append(f"{idx}->{jdx}: window {b.valid_to} < "
-                           f"{a.valid_to}")
-    return bad
-
-
-def composite(d, prec: int) -> Intertwiner:
+def composite(d) -> Intertwiner:
     """The cabled slice maps of d, each at full width, composed."""
+    states = boundary_states(d)
     out = Intertwiner.identity(tuple(p.colour for p in d.bottom))
-    for s, state in zip(d.slices, boundary_states(d)):
-        colours = tuple(p.colour for p in state)
+    for s, below, above in zip(d.slices, states, states[1:]):
+        colours = tuple(p.colour for p in below)
         i = s.pos - 1
         if s.kind == "cup":
-            mid, right = cabled_map("cup", (s.colour,), prec), colours[i:]
+            mid = cabled_map("cup", (s.colour,),
+                             tuple(not p.up for p in above[i:i + 2]))
+            right = colours[i:]
         else:
-            mid = cabled_map(s.kind, colours[i:i + 2], prec)
+            mid = cabled_map(s.kind, colours[i:i + 2],
+                             tuple(not p.up for p in below[i:i + 2]))
             right = colours[i + 2:]
         out = Intertwiner.identity(colours[:i]).tensor(mid).tensor(
             Intertwiner.identity(right)) @ out
@@ -500,9 +475,8 @@ def seeded_open(seed: int):
 
 
 class TestOpenTangles:
-    """phi_coloured against the full-width composite: the values agree on
-    the common window, and no entry is truncated below the composite's,
-    next to coloured neighbours too."""
+    """phi_coloured against the full-width composite, exactly, next to
+    coloured neighbours too."""
 
     @pytest.mark.parametrize("text", [
         "bottom +2\ncup 2 2 u\npos 1\ncap 2\n",
@@ -512,11 +486,37 @@ class TestOpenTangles:
     ] + BRAIDS)
     def test_diagrams(self, text):
         d = parse(text)
-        assert window_narrowing(composite(d, PREC), phi_coloured(d, PREC)) \
-            == []
+        assert phi_coloured(d) == composite(d)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_seeded_diagrams(self, seed):
         d = seeded_open(seed)
-        assert window_narrowing(composite(d, PREC), phi_coloured(d, PREC)) \
-            == [], d.name
+        assert phi_coloured(d) == composite(d), d.name
+
+    def test_a_down_point_changes_the_map(self):
+        # negative control: the bases differ at a colour-2 point that
+        # points down, so the same slices under the other orientation give
+        # another map, on either side
+        up = parse("bottom +2 +2\npos 1\n")
+        down = parse("bottom +2 -2\npos 1\n")
+        assert phi_coloured(up) != phi_coloured(down)
+        assert composite(up) != composite(down)
+
+
+class TestExactEntries:
+    """With == the only comparison, every entry must be in normal form: a
+    stray zero coefficient, a zero entry or an empty column would show up
+    as a false difference."""
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_entries_are_in_normal_form(self, seed):
+        d = seeded_open(seed)
+        value = phi_coloured(d)
+        assert value.columns, d.name
+        for _, img in value.columns:
+            assert img.coords, d.name
+            indices = [j for j, _ in img.coords]
+            assert indices == sorted(indices), d.name
+            for _, c in img.coords:
+                assert not c.is_zero(), d.name
+                assert c == LaurentSeries.make(c.min_deg, c.coeffs), d.name
