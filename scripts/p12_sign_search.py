@@ -11,8 +11,6 @@ published pattern that makes the whole tail compose to zero.
 Run:  python scripts/p12_sign_search.py
 """
 
-import itertools
-
 NAMES = "a b c d e g p r w u v z".split()
 # Coefficient labels for the tail map f_n (n >= 3):
 #   f_n((1)(x)(1)) = a (1|2|3)(x)(1) + b (1)(x)(3|2|1)

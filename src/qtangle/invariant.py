@@ -37,12 +37,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from math import prod
 from typing import NamedTuple
 
 from .packing import low_digit, pack, unpack, width
 from .qseries import LaurentSeries, binomial_row
-from .uqsl2 import ModuleElement, basis_indices
+from .uqsl2 import ModuleElement, basis_indices, packed_product
 from .intertwiner import Intertwiner
 from .tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                      apply_move, boundary_states, enumerate_move_sites,
@@ -232,18 +231,6 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
                   x.base + mid.m0, x.bits, x.bound * mid.norm)
 
 
-def _product(sign: int, *factors: LaurentSeries) -> LaurentSeries:
-    """sign times the product of these integer Laurent polynomials, by one
-    multiply of packed ints (packing).  No coefficient of a product exceeds
-    the product of its factors' L1 norms, which sets the digit width."""
-    if sign == 1 and len(factors) == 1:
-        return factors[0]
-    bits = width(prod(sum(map(abs, f.coeffs)) for f in factors))
-    p = sign * prod(pack(f.coeffs, bits) for f in factors)
-    return LaurentSeries(sum(f.min_deg for f in factors),
-                         tuple(unpack(p, bits)))
-
-
 def _basis_states(colours: tuple[int, ...]) -> dict:
     """The basis vectors of this tensor product as states: the unit vector
     of each index, in whichever basis its strands carry."""
@@ -270,7 +257,7 @@ def _theta(n: int) -> LaurentSeries:
     E^(n) (x) F^(n) in the quasi-R-matrix; theta_n / theta_(n-1) = q^(1-2n) - q."""
     if n == 0:
         return LaurentSeries.one()
-    return _product(1, _theta(n - 1), LaurentSeries(
+    return packed_product(1, _theta(n - 1), LaurentSeries(
         1 - 2 * n, (1,) + (0,) * (2 * n - 1) + (-1,)))
 
 
@@ -302,7 +289,7 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
     and a cup's entry 1/[m, j], which the down end of each absorbs, and
     [m, k+n] [k+n, n] = [m, k] [m-k, n] turns the binomial of a crossing's
     down strand.  Every entry is exact, and each term is built straight into
-    integer coefficients, by one _product for n >= 1.
+    integer coefficients, by one uqsl2.packed_product for n >= 1.
     """
     if kind == "cup":
         m, = colours
@@ -325,7 +312,7 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
             terms = []
             if kind == "pos":
                 for n in range(min(a - i, j) + 1):
-                    c = unit if n == 0 else _product(
+                    c = unit if n == 0 else packed_product(
                         sign, _theta(n),
                         binomial_row(a - i if da else i + n)[n],
                         binomial_row(j if db else b - j + n)[n])
@@ -335,7 +322,7 @@ def _coloured_local(kind: str, colours: tuple[int, ...],
             else:
                 e = (3 * a * b + (2 * i - a) * (2 * j - b)) // 2
                 for n in range(min(b - j, i) + 1):
-                    c = unit if n == 0 else _product(
+                    c = unit if n == 0 else packed_product(
                         sign * (-1) ** n, _theta(n),
                         binomial_row(b - j if db else j + n)[n],
                         binomial_row(i if da else a - i + n)[n])

@@ -9,11 +9,13 @@ representation, so ``==`` is equality of polynomials.
 
 A product of two lone series, ``LaurentSeries.__mul__``, goes through the
 convolution kernel ``convolve_into``, which works on the degree ->
-coefficient form of a series (``support()``).  The products in bulk do not:
-the evaluation states of ``invariant`` and the module maps of
-``uqsl2.scaled_sum`` (the scale, apply and composition of ``uqsl2`` and
-``intertwiner``) pack each entry's integer coefficients into one int
-(``packing``) and multiply those.
+coefficient form of a series (``support()``).  In the package only
+``complexes.euler_characteristic_vs_p2`` and ``Intertwiner.tensor`` call
+it.  Every other product packs each integer coefficient list into one int
+(``packing``) and multiplies those: the evaluation states and slice maps of
+``invariant``, and ``uqsl2.scaled_sum`` and ``uqsl2.packed_product``, which
+carry the divided powers and the scale, apply and composition of module
+elements and maps.
 """
 
 from __future__ import annotations
@@ -99,12 +101,6 @@ class LaurentSeries:
         if 0 <= i < len(self.coeffs):
             return self.coeffs[i]
         return 0
-
-    def top_deg(self) -> int | None:
-        """Highest nonzero degree, or None for the zero series."""
-        if not self.coeffs:
-            return None
-        return self.min_deg + len(self.coeffs) - 1
 
     def support(self) -> dict[int, int | Fraction]:
         return {d: c for d, c in enumerate(self.coeffs, self.min_deg) if c}

@@ -16,7 +16,7 @@ DSL (UTF-8, line oriented, '#' comments):
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [

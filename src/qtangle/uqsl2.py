@@ -2,30 +2,44 @@
 
 Elements of V_{d_1} (x) ... (x) V_{d_r} are sparse maps from basis index
 tuples to exact Laurent polynomials, with only the nonzero entries kept, in
-index order, so ``==`` compares elements.  The generator action on a single factor is
+index order, so ``==`` compares elements.  On a single factor V_d,
 
-    K^{+-1} v_i = q^{+-(2i-n)} v_i,   E v_i = [i+1] v_{i+1},   F v_i = [n-i+1] v_{i-1},
+    K v_a = q^(2a-d) v_a,   E^(k) v_a = [a+k, k] v_(a+k),
+    F^(k) v_a = [d-a+k, k] v_(a-k),
 
-and on tensor products it is given by the iterated comultiplication
+and on tensor products the iterated comultiplication
 
-    Delta(E) = 1 (x) E + E (x) K^{-1},
-    Delta(F) = K (x) F + F (x) 1,
-    Delta(K^{+-1}) = K^{+-1} (x) K^{+-1}.
+    Delta(E^(k)) = sum_i q^(-i(k-i)) E^(k-i) (x) E^(i) K^(i-k),
+    Delta(F^(k)) = sum_i q^(i(k-i)) K^i F^(k-i) (x) F^(i),
+    Delta(K) = K (x) K,
 
-scaled_sum, under ModuleElement.scale and intertwiner's Intertwiner.apply,
-multiplies elements by series as packed ints (packing), in a pack step and
-an accumulate step that Intertwiner.compose also calls; it takes integer
-coefficients only.  Every map the package builds is integral: the divided
-powers E^(k) and F^(k) act through the closed comultiplication by quantum
-binomials (divided_power_act_closed), with no [k]! to divide by.
+sums to one closed form on slots lo..hi-1.  Write mu_s = 2a_s - d_s for
+the weight of slot s of v_a.  Then E^(k) v_a is the sum over compositions
+k = sum_s k_s with k_s <= d_s - a_s of
+
+    prod_s [a_s + k_s, k_s] q^(-sum_(s<t) k_s (k_t + mu_t)) v_(a+k),
+
+and F^(k) v_a the sum over k_s <= a_s of
+
+    prod_s [d_s - a_s + k_s, k_s] q^(sum_(s<t) k_t (mu_s - k_s)) v_(a-k).
+
+divided_power_act_closed builds each coefficient as one packed_product of
+binomial-row entries, with no [k]! to divide by, and E and F are the case
+k = 1; K^p on a slot range (k_power) is one shift per entry.
+
+scaled_sum, under ModuleElement.scale, the divided powers and
+intertwiner's Intertwiner.apply, multiplies elements by series as packed
+ints (packing), in a pack step and an accumulate step that
+Intertwiner.compose also calls; it takes integer coefficients only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import prod
 
 from .packing import low_digit, pack, unpack, width
-from .qseries import LaurentSeries, quantum_binomial, quantum_integer
+from .qseries import LaurentSeries, binomial_row, quantum_binomial
 
 __all__ = [
     "ModuleElement",
@@ -34,8 +48,9 @@ __all__ = [
     "pack_series",
     "pack_element",
     "accumulate",
+    "packed_product",
     "act",
-    "act_on_range",
+    "k_power",
     "divided_power_act",
     "divided_power_act_closed",
     "bilinear_form",
@@ -44,9 +59,6 @@ __all__ = [
     "basis_indices",
     "basis_indices_of_weight",
 ]
-
-GENERATORS = ("E", "F", "K", "Kinv")
-
 
 def weight(colours: tuple[int, ...], index: tuple[int, ...]) -> int:
     return sum(2 * a - d for a, d in zip(index, colours))
@@ -192,117 +204,80 @@ def accumulate(colours, terms, bits: int) -> ModuleElement:
     return ModuleElement(tuple(colours), tuple(out))
 
 
-def _act_index(gen: str, colours, index, lo: int, hi: int):
-    """Terms of gen acting on basis vector index, on tensor slots lo..hi-1.
-
-    Yields (new_index, coefficient) pairs.
-    """
-    if gen in ("K", "Kinv"):
-        mu = sum(2 * index[j] - colours[j] for j in range(lo, hi))
-        e = mu if gen == "K" else -mu
-        yield index, LaurentSeries.monomial(e)
-        return
-    for j in range(lo, hi):
-        d, a = colours[j], index[j]
-        if gen == "E":
-            if a == d:
-                continue
-            coeff = quantum_integer(a + 1)
-            # K^{-1} on all factors to the right of slot j
-            mu = sum(2 * index[t] - colours[t] for t in range(j + 1, hi))
-            coeff = coeff.shift(-mu)
-            new = index[:j] + (a + 1,) + index[j + 1:]
-        else:  # F
-            if a == 0:
-                continue
-            coeff = quantum_integer(d - a + 1)
-            # K on all factors to the left of slot j
-            mu = sum(2 * index[t] - colours[t] for t in range(lo, j))
-            coeff = coeff.shift(mu)
-            new = index[:j] + (a - 1,) + index[j + 1:]
-        yield new, coeff
+def packed_product(sign: int, *factors: LaurentSeries) -> LaurentSeries:
+    """sign times the product of these integer Laurent polynomials, by one
+    multiply of packed ints (packing).  No coefficient of a product exceeds
+    the product of its factors' L1 norms, which sets the digit width."""
+    if sign == 1 and len(factors) == 1:
+        return factors[0]
+    bits = width(prod(map(l1, factors)))
+    p = sign * prod(pack(f.coeffs, bits) for f in factors)
+    return LaurentSeries(sum(f.min_deg for f in factors),
+                         tuple(unpack(p, bits)))
 
 
-def act_on_range(gen: str, x: ModuleElement, lo: int, hi: int) -> ModuleElement:
-    """Apply a generator through the comultiplication on slots lo..hi-1 only."""
-    if gen not in GENERATORS:
-        raise ValueError(f"unknown generator {gen}")
-    out: dict[tuple[int, ...], LaurentSeries] = {}
-    for idx, c in x.coords:
-        for new, coeff in _act_index(gen, x.colours, idx, lo, hi):
-            t = c * coeff
-            out[new] = out[new] + t if new in out else t
-    return ModuleElement.make(x.colours, out)
+def k_power(x: ModuleElement, p: int, lo: int = 0,
+            hi: int | None = None) -> ModuleElement:
+    """K^p on slots lo..hi-1 of x: v_a times q^(p mu), mu the weight of a
+    on those slots, one shift per entry."""
+    colours = x.colours
+    hi = len(colours) if hi is None else hi
+    return ModuleElement(colours, tuple(
+        (a, c.shift(p * weight(colours[lo:hi], a[lo:hi])))
+        for a, c in x.coords))
 
 
 def act(gen: str, x: ModuleElement) -> ModuleElement:
-    return act_on_range(gen, x, 0, len(x.colours))
-
-
-def _divided_power_single(gen: str, k: int, d: int, a: int):
-    """E^{(k)} v_a = [a+k, k] v_{a+k} and F^{(k)} v_a = [d-a+k, k] v_{a-k} on V_d."""
-    if gen == "E":
-        if a + k > d:
-            return None
-        return a + k, quantum_binomial(a + k, k)
-    if a - k < 0:
-        return None
-    return a - k, quantum_binomial(d - a + k, k)
+    """A generator E, F, K or Kinv on every slot of x."""
+    if gen in ("K", "Kinv"):
+        return k_power(x, 1 if gen == "K" else -1)
+    return divided_power_act_closed(gen, 1, x)
 
 
 def divided_power_act_closed(gen: str, k: int, x: ModuleElement,
                              lo: int = 0, hi: int | None = None) -> ModuleElement:
-    """Divided power action via the closed comultiplication formulas
-
-    Delta(E^{(k)}) = sum_i q^{-i(k-i)} E^{(k-i)} (x) E^{(i)} K^{-k+i},
-    Delta(F^{(k)}) = sum_i q^{ i(k-i)} K^i F^{(k-i)} (x) F^{(i)},
-
-    applied recursively (first slot | remaining slots).
-    """
-    if hi is None:
-        hi = len(x.colours)
-    out: dict[tuple[int, ...], LaurentSeries] = {}
-    for idx, c in x.coords:
-        for new, coeff in _dp_terms(gen, k, x.colours, idx, lo, hi):
-            t = c * coeff
-            out[new] = out[new] + t if new in out else t
-    return ModuleElement.make(x.colours, out)
+    """E^(k) or F^(k) on slots lo..hi-1 of x, by the closed form of the
+    module docstring: each basis vector of x goes to a sum over
+    compositions of k, and the sum over x's entries is one scaled_sum."""
+    if gen not in ("E", "F"):
+        raise ValueError(f"unknown generator {gen}")
+    colours = x.colours
+    hi = len(colours) if hi is None else hi
+    return scaled_sum(colours, (
+        (ModuleElement(colours,
+                       _compositions(gen == "E", k, colours, a, lo, hi)), c)
+        for a, c in x.coords))
 
 
-def _dp_terms(gen: str, k: int, colours, index, lo: int, hi: int):
-    if k == 0:
-        yield index, LaurentSeries.one()
-        return
-    if lo >= hi:
-        return
-    if hi - lo == 1:
-        r = _divided_power_single(gen, k, colours[lo], index[lo])
-        if r is not None:
-            new_a, coeff = r
-            yield index[:lo] + (new_a,) + index[lo + 1:], coeff
-        return
-    d0, a0 = colours[lo], index[lo]
-    for i in range(k + 1):
-        # first tensor slot takes k - i, the rest take i
-        r = _divided_power_single(gen, k - i, d0, a0)
-        if r is None:
-            continue
-        new_a, c0 = r
-        if gen == "E":
-            c0 = c0.shift(-i * (k - i))
-        else:
-            c0 = c0.shift(i * (k - i))
-        for rest_idx, c1 in _dp_terms(gen, i, colours, index[:lo] + (new_a,) + index[lo + 1:],
-                                      lo + 1, hi):
-            coeff = c0 * c1
-            if gen == "E":
-                # trailing K^{-k+i} on the right part, evaluated on the original index
-                mu = sum(2 * index[t] - colours[t] for t in range(lo + 1, hi))
-                coeff = coeff.shift((-k + i) * mu)
+def _compositions(raising: bool, k: int, colours, a, lo: int, hi: int):
+    """The terms (index, coefficient) of E^(k) v_a (raising) or F^(k) v_a
+    on slots lo..hi-1, in index order: one per composition k = sum k_s,
+    enumerated slot by slot from lo, each coefficient one packed_product."""
+    # slot s takes k_s <= colours[s] - top[s], with factor [top[s] + k_s, k_s]
+    top = [a[s] if raising else colours[s] - a[s] for s in range(hi)]
+    room = [0] * (hi + 1)  # room[s]: the most slots s..hi-1 can take
+    for s in range(hi - 1, lo - 1, -1):
+        room[s] = room[s + 1] + colours[s] - top[s]
+    terms = []
+
+    def extend(s, left, pre, e, new, factors):
+        # pre: the sum over earlier slots of k_s (E) or of mu_s - k_s (F)
+        if s == hi:
+            terms.append((new, packed_product(1, *factors).shift(e)))
+            return
+        t, mu = top[s], 2 * a[s] - colours[s]
+        for j in range(max(0, left - room[s + 1]),
+                       min(left, colours[s] - t) + 1):
+            f = factors + (binomial_row(t + j)[j],) if j and t else factors
+            nxt = new[:s] + (a[s] + j if raising else a[s] - j,) + new[s + 1:]
+            if raising:
+                extend(s + 1, left - j, pre + j, e - pre * (j + mu), nxt, f)
             else:
-                # leading K^i on the first slot, evaluated after F^{(k-i)} acted there
-                coeff = coeff.shift(i * (2 * new_a - d0))
-            yield rest_idx, coeff
+                extend(s + 1, left - j, pre + mu - j, e + j * pre, nxt, f)
+
+    if k <= room[lo]:
+        extend(lo, k, 0, 0, tuple(a), ())
+    return tuple(terms if raising else reversed(terms))
 
 
 # E^(k) or F^(k) on every slot, under the name intertwiner calls it by,

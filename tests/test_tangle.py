@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind,
-                            ParseError, Slice, ValidationError, apply_move,
-                            boundary_states, cable, enumerate_move_sites,
-                            parse, random_diagram, random_link, serialize,
-                            validate, writhe_gamma)
+from qtangle.tangle import (BoundaryPoint, MoveKind, ParseError, Slice,
+                            ValidationError, apply_move, boundary_states,
+                            cable, enumerate_move_sites, parse,
+                            random_diagram, random_link, serialize, validate,
+                            writhe_gamma)
 
 UNKNOT = "bottom\ncup 1 1 u\ncap 1\n"
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qtangle.qseries import LaurentSeries, quantum_binomial, quantum_integer
-from qtangle.uqsl2 import (ModuleElement, act, act_on_range, basis_indices,
+from qtangle.uqsl2 import (ModuleElement, act, basis_indices,
                            basis_indices_of_weight, bilinear_form,
-                           divided_power_act, divided_power_act_closed,
-                           seq_stats, weight)
+                           divided_power_act_closed, k_power, seq_stats,
+                           weight)
 
 from test_qseries import quantum_factorial
 
@@ -103,25 +103,75 @@ class TestGeneratorAction:
         assert lhs == rhs
 
     def test_act_on_range_composes_to_full_action(self):
+        # the k = 1 divided power on (slot 0 | slots 1..2):
+        # Delta(E) = 1 (x) E + E (x) K^{-1} and Delta(F) = K (x) F + F (x) 1,
+        # with K read on the slots the generator leaves alone, of weights -1
+        # and 1 here; all four parts are nonzero
+        colours = (3, 1, 2)
+        v = ModuleElement.basis_vector(colours, (1, 0, 2))
+        mu_left = weight(colours[:1], (1,))
+        mu_right = weight(colours[1:], (0, 2))
+        left = divided_power_act_closed("E", 1, v, 0, 1)
+        right = divided_power_act_closed("E", 1, v, 1, 3)
+        assert not left.is_zero() and not right.is_zero()
+        assert act("E", v) == right + left.scale(
+            LaurentSeries.monomial(-mu_right))
+        left = divided_power_act_closed("F", 1, v, 0, 1)
+        right = divided_power_act_closed("F", 1, v, 1, 3)
+        assert not left.is_zero() and not right.is_zero()
+        assert act("F", v) == right.scale(
+            LaurentSeries.monomial(mu_left)) + left
+
+    def test_k_power_on_a_range(self):
         colours = (2, 1, 2)
         v = ModuleElement.basis_vector(colours, (1, 0, 2))
-        # Delta(E) on (slot 0 | slots 1..2): 1 (x) E + E (x) K^{-1}
-        right = act_on_range("E", v, 1, 3)
-        mu_right = weight(colours[1:], (0, 2))
-        left = act_on_range("E", v, 0, 1).scale(LaurentSeries.monomial(-mu_right))
-        assert act("E", v) == right + left
+        # slots 1..2 have weight -1 + 2 = 1
+        assert k_power(v, 3, 1, 3) == v.scale(LaurentSeries.monomial(3))
+        assert k_power(v, 1) == act("K", v)
+        assert k_power(k_power(v, 2), -2) == v
 
 
 class TestDividedPowers:
-    @settings(max_examples=30, deadline=None)
-    @given(coloured_basis_vector(), st.sampled_from(["E", "F"]),
-           st.integers(min_value=0, max_value=3))
-    def test_closed_form_matches_iterated_action(self, v, gen, k):
-        # the generator applied k times is [k]! times the divided power
-        x = v
+    @staticmethod
+    def iterated(gen, k, v, lo, hi):
+        """gen applied k times on slots lo..hi-1 of the basis vector v, which
+        form a module of their own, with the other slots held fixed."""
+        (idx, _), = v.coords
+        x = ModuleElement.basis_vector(v.colours[lo:hi], idx[lo:hi])
         for _ in range(k):
             x = act(gen, x)
-        assert x == divided_power_act(gen, k, v).scale(quantum_factorial(k))
+        return ModuleElement.make(v.colours, {
+            idx[:lo] + j + idx[hi:]: c for j, c in x.coords})
+
+    @settings(max_examples=30, deadline=None)
+    @given(coloured_basis_vector(), st.sampled_from(["E", "F"]),
+           st.integers(min_value=0, max_value=3), st.data())
+    def test_closed_form_matches_iterated_action(self, v, gen, k, data):
+        # the generator applied k times is [k]! times the divided power, on
+        # any slot range
+        n = len(v.colours)
+        lo = data.draw(st.integers(min_value=0, max_value=n))
+        hi = data.draw(st.integers(min_value=lo, max_value=n))
+        got = divided_power_act_closed(gen, k, v, lo, hi)
+        assert self.iterated(gen, k, v, lo, hi) == got.scale(
+            quantum_factorial(k))
+        if (lo, hi) == (0, n):
+            assert got == divided_power_act_closed(gen, k, v)
+
+    @pytest.mark.parametrize("gen", ["E", "F"])
+    def test_closed_form_on_every_vector_and_range(self, gen):
+        # the same identity on every basis vector of V_2 (x) V_1 (x) V_2,
+        # every slot range and k <= 3, where the random draws above can
+        # miss the terms that need two slots to move at once
+        colours = (2, 1, 2)
+        for idx in basis_indices(colours):
+            v = ModuleElement.basis_vector(colours, idx)
+            for lo in range(4):
+                for hi in range(lo, 4):
+                    for k in range(4):
+                        got = divided_power_act_closed(gen, k, v, lo, hi)
+                        assert self.iterated(gen, k, v, lo, hi) == got.scale(
+                            quantum_factorial(k))
 
     def test_single_factor_binomials(self):
         v = ModuleElement.basis_vector((4,), (1,))
@@ -129,6 +179,32 @@ class TestDividedPowers:
         assert out.as_dict()[(3,)] == quantum_binomial(3, 2)
         out = divided_power_act_closed("F", 1, v)
         assert out.as_dict()[(0,)] == quantum_binomial(4, 1)
+
+    def test_two_slots_by_hand(self):
+        # on V_2 (x) V_1, term i of
+        #   Delta(E^(2)) = sum_i q^(-i(2-i)) E^(2-i) (x) E^(i) K^(i-2),
+        #   Delta(F^(2)) = sum_i q^(i(2-i)) K^i F^(2-i) (x) F^(i),
+        # with E^(k) v_a = [a+k, k] v_(a+k) and F^(k) v_a = [d-a+k, k] v_(a-k);
+        # term i = 2 overshoots V_1 in each case below
+        colours = (2, 1)
+        one, q = LaurentSeries.one(), LaurentSeries.monomial(1)
+        q2, two = LaurentSeries.monomial(2), quantum_integer(2)
+
+        def image(gen, a):
+            return divided_power_act_closed(
+                gen, 2, ModuleElement.basis_vector(colours, a)).as_dict()
+
+        # v_0 (x) v_0: i = 0 is [2, 2] v_2 (x) K^-2 v_0 = q^2 v_2 (x) v_0;
+        # i = 1 is q^-1 [1] v_1 (x) [1] q v_1
+        assert image("E", (0, 0)) == {(2, 0): q2, (1, 1): one}
+        # v_1 (x) v_0: i = 0 overshoots V_2; i = 1 is q^-1 [2] v_2 (x) q v_1
+        assert image("E", (1, 0)) == {(2, 1): two}
+        # v_2 (x) v_1: i = 0 is [2, 2] v_0 (x) v_1; i = 1 is q K [1] v_1 (x)
+        # [1] v_0, and K is 1 on v_1 of V_2
+        assert image("F", (2, 1)) == {(0, 1): one, (1, 0): q}
+        # v_1 (x) v_1: i = 0 overshoots V_2; i = 1 is q K [2] v_0 (x) [1] v_0,
+        # and K is q^-2 on v_0 of V_2
+        assert image("F", (1, 1)) == {(0, 0): two.shift(-1)}
 
     def test_overshoot_kills_vector(self):
         v = ModuleElement.basis_vector((2,), (1,))
