@@ -20,12 +20,21 @@ the target.  So every entry is an integer Laurent polynomial, two sides of a
 move, which share a boundary, compare with ==, and a closed link, with no
 boundary, is its invariant.
 
+A closed diagram is cut open at its first cup, of colour m: the slices
+after it form a (2,0)-tangle T, and Hom(V_m (x) V_m*, C) is one
+dimensional, so T = c cap.  With cap o cup = (-1)^m [m+1] and
+cap(e_k) = (-1)^k q^(-k(k-m+1)) in the integral basis, the link's value is
+T(e_k) (-1)^(m+k) q^(k(k-m+1)) [m+1] for any one column e_k, of index
+(k, m-k) on the cup's points (Kirby-Melvin's (1,1)-tangle normalisation).
+So a closed diagram is evaluated on one unit state, not the whole cup.
+
 Every column under evaluation is a _State: per basis index, keyed by an
 int of bit fields, one per strand, the entry's integer coefficients packed
 into one int.  Each column starts as a unit vector, and _apply_local maps
 one state to the next with one big-int multiply per product, finding each
 entry's slot with shifts and masks.  _finish unpacks the columns once, so
-evaluation makes no series product and no division.
+evaluation makes no division, and no series product but a closed
+diagram's one factor of its cut.
 normalized_invariant applies the framing q^(3 gamma), with gamma from
 tangle.writhe_gamma, as a shift of every entry.  phi_coloured refuses,
 before any work, a diagram whose slice states, one per source basis vector,
@@ -338,7 +347,10 @@ class DiagramTooLarge(ValueError):
 
 # the most entries phi_coloured keeps: one state per basis vector of the
 # source, each with up to as many entries as the largest slice has basis
-# vectors, prod(m_i + 1) over its coloured points
+# vectors, prod(m_i + 1) over its coloured points.  The guard is unchanged
+# by the cut: a closed diagram keeps one state, but the guard still counts
+# the widest slice of the whole diagram, its first cup included, so it
+# refuses what it refused when the whole link was evaluated
 MAX_STATE = 2 ** 20
 
 # the most closed-form map phi_coloured builds, summed over the distinct
@@ -396,7 +408,10 @@ def phi_coloured(d: ColouredDiagram) -> Intertwiner:
 
     Both ends are in the integral basis: w_k = v_k / [m, k] on a point of
     colour m >= 2 that points down, v_k on any other, so every entry is an
-    integer Laurent polynomial.  A diagram whose slice states, one per
+    integer Laurent polynomial.  A closed diagram is cut open at its first
+    cup, of colour m: its value is T(e_k) (-1)^(m+k) q^(k(k-m+1)) [m+1],
+    for the (2,0)-tangle T of its other slices and one column e_k
+    (_phi_coloured_once).  A diagram whose slice states, one per
     source basis vector, could hold more than MAX_STATE entries, or whose
     slice maps are over MAX_MAP_SIZE, is refused with DiagramTooLarge before
     any work.
@@ -406,13 +421,70 @@ def phi_coloured(d: ColouredDiagram) -> Intertwiner:
     return _phi_coloured_once(d, states)
 
 
-def _phi_coloured_once(d: ColouredDiagram, states: list) -> Intertwiner:
+def _cut_column(d: ColouredDiagram) -> int:
+    """The column k of a closed diagram's cut: m or 0, whichever the first
+    crossing on either point of its first cup, of colour m, maps to single
+    terms, and m if a cap comes first.
+
+    The cup's left point carries index k and its right point m - k.  By the
+    n-sums of _coloured_local, pos maps x_i (x) y_j to one term when i = a
+    or j = 0, and neg when i = 0 or j = b.  On the colour-8 figure-eight
+    this column's widest state has 2,445 entries, the other extreme's 3,195,
+    and the whole link's 29,769.
+    """
+    m = d.slices[0].colour
+    left, right = 1, 2
+    for s in d.slices[1:]:
+        if s.kind == "cup":
+            left += 2 * (left >= s.pos)
+            right += 2 * (right >= s.pos)
+        elif s.kind == "cap":
+            if {left, right} & {s.pos, s.pos + 1}:
+                break
+            left -= 2 * (left > s.pos)
+            right -= 2 * (right > s.pos)
+        elif left in (s.pos, s.pos + 1):
+            return m if (left == s.pos) == (s.kind == "pos") else 0
+        elif right in (s.pos, s.pos + 1):
+            return 0 if (right == s.pos) == (s.kind == "pos") else m
+    return m
+
+
+def _cut_factor(m: int, k: int) -> LaurentSeries:
+    """(-1)^(m+k) q^(k(k-m+1)) [m+1], a closed diagram's value over the
+    column T(e_k) of its cut, as in _phi_coloured_once."""
+    return binomial_row(m + 1)[1].shift(k * (k - m + 1)).scale(
+        (-1) ** (m + k))
+
+
+def _phi_coloured_once(d: ColouredDiagram, states: list,
+                       column: int | None = None) -> Intertwiner:
+    """phi_coloured's pass: the slices on every source column of an open
+    tangle, or on one column of a closed diagram's cut.
+
+    A closed diagram's slice 0 is ``cup 1 m`` and the rest a (2,0)-tangle
+    T = c cap, so its value is T(e_k) (-1)^(m+k) q^(k(k-m+1)) [m+1]
+    (_cut_factor) for the unit state e_k of index (k, m-k), with k =
+    ``column`` or _cut_column's.  So the pass skips slice 0, starts from
+    e_k and scales the one entry it ends with.
+    """
     src = tuple(p.colour for p in d.bottom)
-    columns = _basis_states(src)
-    for s, state in zip(d.slices, states):
+    tgt = tuple(p.colour for p in states[-1])
+    slices = list(zip(d.slices, states))
+    closed = not src and not tgt and bool(slices)
+    if closed:
+        m = slices.pop(0)[0].colour
+        k = _cut_column(d) if column is None else column
+        # the one column, under the key of the empty source
+        columns = {(): _State((m, m), {_key((k, m - k), (m, m)): 1}, 0,
+                              width(1), 1)}
+    else:
+        columns = _basis_states(src)
+    for s, state in slices:
         columns = _apply_all(_coloured_local(*_slice_key(s, state)), s.pos,
                              columns)
-    return _finish(src, tuple(p.colour for p in states[-1]), columns)
+    value = _finish(src, tgt, columns)
+    return value.scale(_cut_factor(m, k)) if closed else value
 
 
 def normalized_invariant(d: ColouredDiagram, precision=None,

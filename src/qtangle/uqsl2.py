@@ -122,9 +122,20 @@ class ModuleElement:
         return ModuleElement.make(self.colours, d)
 
     def scale(self, s: LaurentSeries) -> "ModuleElement":
-        """s times this element; an entry or s with a Fraction coefficient
-        raises TypeError (scaled_sum)."""
-        return scaled_sum(self.colours, ((self, s),))
+        """s times this element.  A signed monomial +-q^e is a shift and a
+        sign of each entry, with nothing packed; any other s goes through
+        scaled_sum.  An entry, or such an s, with a Fraction coefficient
+        raises TypeError."""
+        if s.coeffs not in ((1,), (-1,)):
+            return scaled_sum(self.colours, ((self, s),))
+        sign, e = s.coeffs[0], s.min_deg
+        if any(type(a) is not int for _, c in self.coords for a in c.coeffs):
+            raise TypeError(f"only integer coefficients scale, not those "
+                            f"of {self}")
+        return ModuleElement(self.colours, tuple(
+            (idx, LaurentSeries(c.min_deg + e, c.coeffs if sign == 1 else
+                                tuple(-a for a in c.coeffs)))
+            for idx, c in self.coords))
 
     def __sub__(self, other: "ModuleElement") -> "ModuleElement":
         return self + other.scale(LaurentSeries.monomial(0, -1))

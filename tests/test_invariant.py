@@ -11,19 +11,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtangle import invariant
 from qtangle.intertwiner import Intertwiner, inclusion, projection
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
                                _apply_all, _apply_local, _basis_states,
-                               _coloured_local, _element, _finish,
-                               _index, _key, _theta,
+                               _coloured_local, _cut_column, _element,
+                               _finish, _index, _key, _phi_coloured_once,
+                               _slice_key, _theta,
                                link_invariant, normalized_invariant,
                                phi_coloured, verify_invariance)
 from qtangle.packing import pack, width
 from qtangle.qseries import LaurentSeries, binomial_row, quantum_integer
 from qtangle.uqsl2 import ModuleElement, basis_indices, weight
 from qtangle.tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
-                            cable, parse, random_diagram, random_link,
-                            validate, writhe_gamma)
+                            boundary_states, cable, parse, random_diagram,
+                            random_link, validate, writhe_gamma)
 
 from fullwidth import cap, crossing_neg, crossing_pos, cup, positioned
 
@@ -165,6 +167,19 @@ def braid_closure(word: list[int], colours: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def figure_eight(m: int, first: str = "pos"):
+    """The colour-m figure-eight; with ``first="neg"`` its first crossing
+    is flipped."""
+    return parse(f"bottom\ncup 1 {m} u\ncup 2 {m} u\ncup 3 {m} u\n"
+                 f"{first} 1\nneg 2\npos 1\nneg 2\ncap 3\ncap 2\ncap 1\n")
+
+
+def plat_figure_eight(m: int):
+    """The colour-m figure-eight as a plat of width 4."""
+    return parse(f"bottom\ncup 1 {m} u\ncup 3 {m} u\npos 2\npos 2\n"
+                 f"neg 1\nneg 1\ncap 2\ncap 1\n")
+
+
 class TestHighColours:
     """High colours against closed forms and symmetries that need no
     evaluator: each value comes back exact."""
@@ -237,6 +252,125 @@ class TestMirrorSymmetry:
             assert w == v.bar(), d.name
             compared += len(w.support())
         assert compared > 150
+
+
+def whole(d: ColouredDiagram) -> tuple[LaurentSeries, list[int]]:
+    """A closed diagram evaluated with no cut: every slice, its first cup
+    too, on the one state of the empty boundary; with the nnz of each
+    state it passes through."""
+    columns, sizes = _basis_states(()), []
+    for s, state in zip(d.slices, boundary_states(d)):
+        columns = _apply_all(_coloured_local(*_slice_key(s, state)), s.pos,
+                             columns)
+        sizes.append(len(columns[()].coords))
+    return _finish((), (), columns).scalar(), sizes
+
+
+def every_column(d: ColouredDiagram) -> list[LaurentSeries]:
+    """The closed diagram's value from each column k = 0..m of its cut."""
+    states = boundary_states(d)
+    return [_phi_coloured_once(d, states, k).scalar()
+            for k in range(d.slices[0].colour + 1)]
+
+
+@lru_cache(maxsize=None)
+def cut_corpus() -> tuple[ColouredDiagram, ...]:
+    return tuple([random_link(10, c, seed, max_width=8)
+                  for c in (1, 2, 3) for seed in range(15)] +
+                 [f(m) for m in range(2, 6)
+                  for f in (figure_eight, plat_figure_eight)])
+
+
+def columns_agree(d: ColouredDiagram) -> bool:
+    want, _ = whole(d)
+    return all(v == want for v in every_column(d))
+
+
+@pytest.fixture
+def apply_sizes(monkeypatch):
+    """The nnz of every state _apply_local returns, in order."""
+    sizes = []
+    apply = invariant._apply_local
+
+    def counted(mid, i, x):
+        y = apply(mid, i, x)
+        sizes.append(len(y.coords))
+        return y
+    monkeypatch.setattr(invariant, "_apply_local", counted)
+    return sizes
+
+
+class TestCut:
+    """A closed diagram is its first cup and a (2,0)-tangle T = c cap, so
+    one column T(e_k) of the cut gives its value."""
+
+    def test_every_column_gives_the_whole_value(self):
+        odd = 0
+        for d in cut_corpus():
+            assert columns_agree(d), d.name
+            odd += d.slices[0].colour % 2
+        assert odd > 10
+
+    # (-1)^(m+k) with (-1)^m dropped, and q^(k(k-m)) for q^(k(k-m+1))
+    @pytest.mark.parametrize("mutant", [
+        lambda f, m, k: f(m, k).scale((-1) ** m),
+        lambda f, m, k: f(m, k).shift(-k)], ids=["sign", "shift"])
+    def test_a_wrong_factor_fails(self, monkeypatch, mutant):
+        factor = invariant._cut_factor
+        monkeypatch.setattr(invariant, "_cut_factor",
+                            lambda m, k: mutant(factor, m, k))
+        assert not all(columns_agree(d) for d in cut_corpus())
+
+    def test_closed_links_skip_the_first_cup(self, apply_sizes):
+        for d in cut_corpus():
+            apply_sizes.clear()
+            link_invariant(d)
+            assert len(apply_sizes) == len(d.slices) - 1, d.name
+
+    def test_the_widest_state_is_narrower(self, apply_sizes):
+        # the colour-4 figure-eight: 255 entries at the widest, against
+        # 1,605 for the whole link
+        d = figure_eight(4)
+        want, sizes = whole(d)
+        apply_sizes.clear()
+        assert phi_coloured(d).scalar() == want
+        assert 0 < max(apply_sizes) < max(sizes)
+
+    @pytest.mark.parametrize("d", [
+        figure_eight(4), plat_figure_eight(4),
+        parse(braid_closure([1, -2, 1, -2], [4] * 3))],
+        ids=["figure8", "plat", "braid-down-cups"])
+    def test_the_column_rule_takes_the_lighter_extreme(self, d, apply_sizes):
+        # _cut_column picks m or 0 by the first crossing on the cut
+        states = boundary_states(d)
+        m = d.slices[0].colour
+        work = {}
+        for k in (0, m):
+            apply_sizes.clear()
+            _phi_coloured_once(d, states, k)
+            work[k] = sum(apply_sizes)
+        assert work[_cut_column(d)] < work[m - _cut_column(d)]
+
+    def test_the_empty_diagram_is_one(self):
+        d = parse("bottom\n")
+        assert phi_coloured(d) == Intertwiner.identity(())
+        assert link_invariant(d) == LaurentSeries.one()
+
+    @pytest.mark.parametrize("text", [
+        "bottom\ncup 1 3 u\ncap 1\ncup 1 2 d\npos 1\ncap 1\n",
+        "bottom\ncup 1 2 d\ncup 3 1 d\ncup 4 2 d\npos 5\npos 5\ncap 4\n"
+        "cap 3\ncap 1\n",
+        "bottom\ncup 1 1 u\ncap 1\n" +
+        braid_closure([1, 1, 1], [2, 2]).removeprefix("bottom\n")])
+    def test_split_links_equal_their_whole_value(self, text):
+        d = parse(text)
+        assert phi_coloured(d).scalar() == whole(d)[0] != LaurentSeries.zero()
+
+    def test_unknots_with_a_down_cup(self):
+        # TestColouredUnknots takes the cup that points up
+        for m in range(1, 13):
+            value = link_invariant(parse(f"bottom\ncup 1 {m} d\ncap 1\n"))
+            assert value == quantum_integer(m + 1).scale((-1) ** m), m
 
 
 class TestSizeGuard:

@@ -36,7 +36,8 @@ from qtangle.qseries import LaurentSeries, quantum_integer
 from qtangle.tangle import (BoundaryPoint, boundary_states, cable, parse,
                             random_diagram, random_link)
 
-from test_invariant import braid_closure, cabled_map
+from test_invariant import (braid_closure, cabled_map, figure_eight,
+                            plat_figure_eight)
 
 # -- Laurent polynomials in A, as {exponent: int} -------------------------------
 
@@ -302,19 +303,6 @@ class TestPrecision:
     def test_closed_links_are_exact(self, seed, p1, p2):
         d = random_link(10, 1 + seed % 3, seed, max_width=6)
         assert link_invariant(d, p1) == link_invariant(d, p2), d.name
-
-
-def figure_eight(m: int, first: str = "pos"):
-    """The colour-m figure-eight; with ``first="neg"`` its first crossing
-    is flipped."""
-    return parse(f"bottom\ncup 1 {m} u\ncup 2 {m} u\ncup 3 {m} u\n"
-                 f"{first} 1\nneg 2\npos 1\nneg 2\ncap 3\ncap 2\ncap 1\n")
-
-
-def plat_figure_eight(m: int):
-    """The colour-m figure-eight as a plat of width 4."""
-    return parse(f"bottom\ncup 1 {m} u\ncup 3 {m} u\npos 2\npos 2\n"
-                 f"neg 1\nneg 1\ncap 2\ncap 1\n")
 
 
 def habiro(m: int) -> LaurentSeries:

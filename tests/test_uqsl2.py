@@ -1,5 +1,7 @@
 """Quantum sl2 generator action, divided powers, weights, bilinear form."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 from qtangle.qseries import LaurentSeries, quantum_binomial, quantum_integer
 from qtangle.uqsl2 import (ModuleElement, act, basis_indices,
                            basis_indices_of_weight, bilinear_form,
-                           divided_power_act_closed, k_power, seq_stats,
-                           weight)
+                           divided_power_act_closed, k_power, scaled_sum,
+                           seq_stats, weight)
 
 from test_qseries import quantum_factorial
 
@@ -21,6 +23,18 @@ def coloured_basis_vector(draw):
     colours = draw(colour_tuples)
     idx = tuple(draw(st.integers(min_value=0, max_value=d)) for d in colours)
     return ModuleElement.basis_vector(colours, idx)
+
+
+@st.composite
+def integer_element(draw):
+    """A random element with integer entries, some wider than a word."""
+    colours = draw(colour_tuples)
+    support = draw(st.lists(st.sampled_from(list(basis_indices(colours))),
+                            max_size=6))
+    return ModuleElement.make(colours, {idx: LaurentSeries.make(
+        draw(st.integers(-6, 6)),
+        draw(st.lists(st.integers(-2 ** 70, 2 ** 70), min_size=1,
+                      max_size=4))) for idx in support})
 
 
 def weight_projector(mu: int, x: ModuleElement) -> ModuleElement:
@@ -63,6 +77,26 @@ class TestBasics:
         want = ModuleElement.zero((1,))
         assert (a + b) + c == want and ((a + b) + c).coords == ()
         assert a + (b + c) == want
+
+
+class TestScale:
+    @pytest.mark.parametrize("e", [-3, 0, 2])
+    @pytest.mark.parametrize("sign", [1, -1])
+    @settings(max_examples=60, deadline=None)
+    @given(x=integer_element())
+    def test_signed_monomial_matches_scaled_sum(self, sign, e, x):
+        s = LaurentSeries.monomial(e, sign)
+        assert x.scale(s) == scaled_sum(x.colours, ((x, s),))
+
+    @pytest.mark.parametrize("s", [LaurentSeries.monomial(1, -1),
+                                   LaurentSeries.monomial(0, 1),
+                                   quantum_integer(2)])
+    def test_fraction_entries_raise(self, s):
+        x = ModuleElement.make((1, 2), {(0, 1): LaurentSeries.one(),
+                                        (1, 0): LaurentSeries.make(
+                                            -1, [Fraction(1, 2), 3])})
+        with pytest.raises(TypeError):
+            x.scale(s)
 
 
 class TestGeneratorAction:
