@@ -80,6 +80,11 @@ def _default_precision() -> int:
 
 def _jsonable(x):
     """Recursively turn reports into JSON-serializable structures."""
+    # the leaves of a report, tested by exact type first: most of a large
+    # map's report is ints and strs, and a subclass takes the paths below
+    t = type(x)
+    if t is int or t is str or t is bool or x is None:
+        return x
     if isinstance(x, Fraction):
         return str(x)
     if isinstance(x, dict):

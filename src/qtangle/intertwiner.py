@@ -137,13 +137,6 @@ class Intertwiner:
         return Intertwiner.make(self.source, self.target,
                                 {i: img.scale(s) for i, img in self.columns})
 
-    def shift(self, n: int) -> "Intertwiner":
-        """Multiply by q^n: every entry moved up n degrees."""
-        return Intertwiner(self.source, self.target, tuple(
-            (idx, ModuleElement(img.colours, tuple(
-                (jdx, c.shift(n)) for jdx, c in img.coords)))
-            for idx, img in self.columns))
-
     def is_zero(self) -> bool:
         return not self.columns
 

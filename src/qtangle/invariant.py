@@ -28,17 +28,22 @@ T(e_k) (-1)^(m+k) q^(k(k-m+1)) [m+1] for any one column e_k, of index
 (k, m-k) on the cup's points (Kirby-Melvin's (1,1)-tangle normalisation).
 So a closed diagram is evaluated on one unit state, not the whole cup.
 
-Every column under evaluation is a _State: per basis index, keyed by an
-int of bit fields, one per strand, the entry's integer coefficients packed
-into one int.  Each column starts as a unit vector, and _apply_local maps
-one state to the next with one big-int multiply per product, finding each
-entry's slot with shifts and masks.  _finish unpacks the columns once, so
+Every column of a map under evaluation lives in one _State: per basis
+index, keyed by an int of bit fields, one per strand, with the source index
+of its column in the bits above them, the entry's integer coefficients
+packed into one int.  The state starts as the unit vector of every column,
+and _apply_local maps it across one slice with one big-int multiply per
+product, finding each entry's slot with shifts and masks that carry the
+source bits along, so each slice is one call however many columns there
+are.  _finish splits the state by its source bits and unpacks it once, so
 evaluation makes no division, and no series product but a closed
 diagram's one factor of its cut.
 normalized_invariant applies the framing q^(3 gamma), with gamma from
-tangle.writhe_gamma, as a shift of every entry.  phi_coloured refuses,
-before any work, a diagram whose slice states, one per source basis vector,
-would hold more than MAX_STATE entries or whose maps would pass MAX_MAP_SIZE.
+tangle.writhe_gamma, as an offset to the state's base before that unpack.
+A diagram is walked once (_walk) for its boundary states and the key of
+each slice map, which the writhe and the size guard read too: phi_coloured
+refuses, before any work, a diagram whose state could hold more than
+MAX_STATE entries or whose maps would pass MAX_MAP_SIZE.
 """
 
 from __future__ import annotations
@@ -54,7 +59,7 @@ from .uqsl2 import ModuleElement, basis_indices, packed_product
 from .intertwiner import Intertwiner
 from .tangle import (BoundaryPoint, ColouredDiagram, MoveKind, Slice,
                      apply_move, boundary_states, enumerate_move_sites,
-                     random_diagram, validate, writhe_gamma)
+                     random_diagram, writhe_gamma)
 # not used here: the benchmark's tracer hooks these names in this module
 from .intertwiner import (inclusion, inclusion_list,  # noqa: F401
                           projection, projection_list)
@@ -78,15 +83,17 @@ class InvariantResult:
 
 
 class _State(NamedTuple):
-    """A vector under evaluation, kept packed between slices.
+    """The columns of a map under evaluation, kept packed between slices.
 
     A basis index is keyed by an int of bit fields: a strand of colour m
     takes m.bit_length() bits, the leftmost strand the most significant
-    ones, so keys sort as the index tuples do.
+    ones, so keys sort as the index tuples do.  Above the strand fields a
+    key holds its column: the key of the column's source index, in the
+    fields of the source's colours, so keys sort by column, then by index.
     ``coords`` maps the key of each nonzero entry to the entry packed with
     digits of ``bits`` bits, digit j the coefficient of q^(base + j).  No
     coefficient exceeds ``bound`` in absolute value, and ``bound`` is below
-    2^(bits-1).
+    2^(bits-1).  Every column shares ``base``, ``bits`` and ``bound``.
     """
 
     colours: tuple[int, ...]
@@ -181,18 +188,6 @@ def _index(key: int, colours: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(reversed(idx))
 
 
-def _element(x: _State) -> ModuleElement:
-    # every entry of a state is nonzero, and its keys come from a valid
-    # state and valid local maps, so ModuleElement.make has nothing to check
-    bits, base, colours = x.bits, x.base, x.colours
-    coords = []
-    for key, p in sorted(x.coords.items()):
-        j = low_digit(p, bits)
-        coords.append((_index(key, colours), LaurentSeries(
-            base + j, tuple(unpack(p >> bits * j, bits)))))
-    return ModuleElement(colours, tuple(coords))
-
-
 def _repack(x: _State, norm: int) -> _State:
     """x with its bound taken from its largest coefficient, and repacked
     wider if images under a map of this norm need it."""
@@ -210,7 +205,9 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
     """Apply Id^(i-1) (x) mid (x) Id to x, acting only on its support.
 
     Equivalent to applying the full-width map Id^(i-1) (x) mid (x) Id, but
-    never materializes it, which keeps wide diagrams tractable.  Each product
+    never materializes it, which keeps wide diagrams tractable.  The key
+    bits above the strands, each entry's column, move with the strands
+    left of the slot.  Each product
     is one multiply of packed ints, so the image is based at x.base + mid.m0;
     its coefficients are within x.bound * mid.norm, and the state is
     repacked first if that needs wider digits.  An entry that cancels is
@@ -240,24 +237,39 @@ def _apply_local(mid: _Local, i: int, x: _State) -> _State:
                   x.base + mid.m0, x.bits, x.bound * mid.norm)
 
 
-def _basis_states(colours: tuple[int, ...]) -> dict:
-    """The basis vectors of this tensor product as states: the unit vector
-    of each index, in whichever basis its strands carry."""
-    bits = width(1)
-    return {idx: _State(colours, {_key(idx, colours): 1}, 0, bits, 1)
-            for idx in basis_indices(colours)}
+def _columns(colours: tuple[int, ...]) -> _State:
+    """Every basis vector of this tensor product, the unit vector of each
+    index in whichever basis its strands carry, as one state: index key k
+    is column k's only entry, under (k << b) | k for the b bits of k."""
+    b = _key_bits(colours)
+    return _State(colours, {(k << b) | k: 1 for k in (
+        _key(idx, colours) for idx in basis_indices(colours))},
+        0, width(1), 1)
 
 
-def _apply_all(local: _Local, i: int, columns: dict) -> dict:
-    """_apply_local on every column of a map under construction."""
-    return {idx: _apply_local(local, i, v) for idx, v in columns.items()}
-
-
-def _finish(src: tuple[int, ...], tgt: tuple[int, ...],
-            columns: dict) -> Intertwiner:
-    """The map whose columns are these states, unpacked."""
-    return Intertwiner.make(src, tgt, {idx: _element(x)
-                                       for idx, x in columns.items()})
+def _finish(src: tuple[int, ...], x: _State, shift: int = 0) -> Intertwiner:
+    """The map from src whose columns x packs, times q^shift: its entry
+    under (s << b) | t, for the b key bits of x's strands, is entry t of
+    column s.  Each entry is unpacked once, its degrees read from
+    x.base + shift."""
+    bits, base, tgt = x.bits, x.base + shift, x.colours
+    b = _key_bits(tgt)
+    mask = (1 << b) - 1
+    columns = []
+    last = None
+    for key, p in sorted(x.coords.items()):
+        if key >> b != last:
+            last = key >> b
+            coords = []
+            columns.append((_index(last, src), coords))
+        j = low_digit(p, bits)
+        coords.append((_index(key & mask, tgt), LaurentSeries(
+            base + j, tuple(unpack(p >> bits * j, bits)))))
+    # every entry is nonzero, keys sort as (column, index) tuples do, and
+    # they come from valid local maps, so Intertwiner.make has nothing to
+    # check, and a column that vanished has no key left
+    return Intertwiner(src, tgt, tuple(
+        (idx, ModuleElement(tgt, tuple(coords))) for idx, coords in columns))
 
 
 @lru_cache(maxsize=None)
@@ -345,12 +357,13 @@ class DiagramTooLarge(ValueError):
     """A diagram over MAX_STATE or MAX_MAP_SIZE, refused before any work."""
 
 
-# the most entries phi_coloured keeps: one state per basis vector of the
-# source, each with up to as many entries as the largest slice has basis
-# vectors, prod(m_i + 1) over its coloured points.  The guard is unchanged
-# by the cut: a closed diagram keeps one state, but the guard still counts
-# the widest slice of the whole diagram, its first cup included, so it
-# refuses what it refused when the whole link was evaluated
+# the most entries phi_coloured keeps: one state, holding a column per
+# basis vector of the source, each with up to as many entries as the largest
+# slice has basis vectors, prod(m_i + 1) over its coloured points; so at most
+# columns x widest slice entries.  The guard is unchanged by the cut: a
+# closed diagram keeps one column, but the guard still counts the widest
+# slice of the whole diagram, its first cup included, so it refuses what it
+# refused when the whole link was evaluated
 MAX_STATE = 2 ** 20
 
 # the most closed-form map phi_coloured builds, summed over the distinct
@@ -388,37 +401,54 @@ def _map_size(kind: str, colours: tuple[int, ...]) -> int:
     return (a + 1) * (b + 1) * (min(a, b) + 1) * (a * b + 1)
 
 
-def _check_size(d: ColouredDiagram, states: list) -> None:
-    size = max(_radix(tuple(p.colour for p in state)) for state in states)
+class _Walk(NamedTuple):
+    """One walk of a diagram, which the writhe, the size guard and the pass
+    all read: its boundary states, before each slice and at the top, and
+    the arguments _coloured_local takes for each slice."""
+
+    states: list[list[BoundaryPoint]]
+    keys: list[tuple]
+
+
+def _walk(d: ColouredDiagram) -> _Walk:
+    states = boundary_states(d)
+    return _Walk(states, [_slice_key(s, state)
+                          for s, state in zip(d.slices, states)])
+
+
+def _check_size(d: ColouredDiagram, walk: _Walk) -> None:
+    size = max(_radix(tuple(p.colour for p in state))
+               for state in walk.states)
     columns = _radix(tuple(p.colour for p in d.bottom))
     if size * columns > MAX_STATE:
         raise DiagramTooLarge(
             f"{columns} slice states of up to {size} basis vectors "
             f"are over the limit of {MAX_STATE}")
-    maps = {_slice_key(s, state) for s, state in zip(d.slices, states)}
-    size = sum(_map_size(kind, colours) for kind, colours, _ in maps)
+    size = sum(_map_size(kind, colours) for kind, colours, _ in set(walk.keys))
     if size > MAX_MAP_SIZE:
         raise DiagramTooLarge(
             f"slice maps of about {size} coefficients "
             f"are over the limit of {MAX_MAP_SIZE}")
 
 
-def phi_coloured(d: ColouredDiagram) -> Intertwiner:
-    """The intertwiner of a coloured diagram, in one exact pass.
+def phi_coloured(d: ColouredDiagram, *, walk: _Walk | None = None,
+                 shift: int = 0) -> Intertwiner:
+    """The intertwiner of a coloured diagram, in one exact pass, times
+    q^shift.
 
     Both ends are in the integral basis: w_k = v_k / [m, k] on a point of
     colour m >= 2 that points down, v_k on any other, so every entry is an
     integer Laurent polynomial.  A closed diagram is cut open at its first
     cup, of colour m: its value is T(e_k) (-1)^(m+k) q^(k(k-m+1)) [m+1],
     for the (2,0)-tangle T of its other slices and one column e_k
-    (_phi_coloured_once).  A diagram whose slice states, one per
-    source basis vector, could hold more than MAX_STATE entries, or whose
-    slice maps are over MAX_MAP_SIZE, is refused with DiagramTooLarge before
-    any work.
+    (_phi_coloured_once).  A diagram whose state, one column per source
+    basis vector, could hold more than MAX_STATE entries, or whose slice
+    maps are over MAX_MAP_SIZE, is refused with DiagramTooLarge before any
+    work.  ``walk`` is d's _walk, when the caller has it.
     """
-    states = boundary_states(d)
-    _check_size(d, states)
-    return _phi_coloured_once(d, states)
+    walk = _walk(d) if walk is None else walk
+    _check_size(d, walk)
+    return _phi_coloured_once(d, walk, shift=shift)
 
 
 def _cut_column(d: ColouredDiagram) -> int:
@@ -457,53 +487,56 @@ def _cut_factor(m: int, k: int) -> LaurentSeries:
         (-1) ** (m + k))
 
 
-def _phi_coloured_once(d: ColouredDiagram, states: list,
-                       column: int | None = None) -> Intertwiner:
-    """phi_coloured's pass: the slices on every source column of an open
-    tangle, or on one column of a closed diagram's cut.
+def _phi_coloured_once(d: ColouredDiagram, walk: _Walk,
+                       column: int | None = None, *,
+                       shift: int = 0) -> Intertwiner:
+    """phi_coloured's pass, times q^shift: the slices on one state that
+    holds every source column of an open tangle, or one column of a closed
+    diagram's cut.
 
     A closed diagram's slice 0 is ``cup 1 m`` and the rest a (2,0)-tangle
     T = c cap, so its value is T(e_k) (-1)^(m+k) q^(k(k-m+1)) [m+1]
     (_cut_factor) for the unit state e_k of index (k, m-k), with k =
     ``column`` or _cut_column's.  So the pass skips slice 0, starts from
-    e_k and scales the one entry it ends with.
+    e_k, the one column of the empty source, and scales the one entry it
+    ends with.
     """
     src = tuple(p.colour for p in d.bottom)
-    tgt = tuple(p.colour for p in states[-1])
-    slices = list(zip(d.slices, states))
-    closed = not src and not tgt and bool(slices)
+    slices = list(zip(d.slices, walk.keys))
+    closed = not src and not walk.states[-1] and bool(slices)
     if closed:
         m = slices.pop(0)[0].colour
         k = _cut_column(d) if column is None else column
-        # the one column, under the key of the empty source
-        columns = {(): _State((m, m), {_key((k, m - k), (m, m)): 1}, 0,
-                              width(1), 1)}
+        x = _State((m, m), {_key((k, m - k), (m, m)): 1}, 0, width(1), 1)
     else:
-        columns = _basis_states(src)
-    for s, state in slices:
-        columns = _apply_all(_coloured_local(*_slice_key(s, state)), s.pos,
-                             columns)
-    value = _finish(src, tgt, columns)
+        x = _columns(src)
+    for s, key in slices:
+        x = _apply_local(_coloured_local(*key), s.pos, x)
+    value = _finish(src, x, shift)
     return value.scale(_cut_factor(m, k)) if closed else value
 
 
 def normalized_invariant(d: ColouredDiagram, precision=None,
-                         flip_gamma_sign: bool = False) -> InvariantResult:
-    """phi_coloured(d) times the framing factor q^(3 gamma).  ``precision``
-    is ignored, as every value is exact; it is kept for callers that pass
-    one."""
-    gamma = writhe_gamma(d, flip_sign=flip_gamma_sign)
-    return InvariantResult(phi_coloured(d).shift(3 * gamma), gamma, True)
+                         flip_gamma_sign: bool = False, *,
+                         walk: _Walk | None = None
+                         ) -> InvariantResult:
+    """phi_coloured(d) times the framing factor q^(3 gamma), applied to the
+    packed state before it is unpacked.  ``precision`` is ignored, as every
+    value is exact; it is kept for callers that pass one.  ``walk`` is d's
+    _walk, when the caller has it."""
+    walk = _walk(d) if walk is None else walk
+    gamma = writhe_gamma(d, flip_sign=flip_gamma_sign, states=walk.states)
+    return InvariantResult(phi_coloured(d, walk=walk, shift=3 * gamma),
+                           gamma, True)
 
 
 def link_invariant(d: ColouredDiagram, precision=None) -> LaurentSeries:
     """The invariant of a closed diagram, an exact Laurent polynomial.
     ``precision`` is ignored, as in normalized_invariant."""
-    top = validate(d)
-    if d.bottom or top:
+    walk = _walk(d)
+    if d.bottom or walk.states[-1]:
         raise ValueError("link_invariant needs empty bottom and top boundaries")
-    return normalized_invariant(d).scalar()
-
+    return normalized_invariant(d, walk=walk).scalar()
 
 
 @dataclass(frozen=True)

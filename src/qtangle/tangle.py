@@ -209,7 +209,8 @@ def cable(d: ColouredDiagram) -> ColouredDiagram:
 
 # -- writhe -------------------------------------------------------------------
 
-def writhe_gamma(d: ColouredDiagram, flip_sign: bool = False) -> int:
+def writhe_gamma(d: ColouredDiagram, flip_sign: bool = False, *,
+                 states: list[list[BoundaryPoint]] | None = None) -> int:
     """Signed count of the cabled crossings whose two strands are equally
     oriented.
 
@@ -219,9 +220,11 @@ def writhe_gamma(d: ColouredDiagram, flip_sign: bool = False) -> int:
     count 0.  The sign is the one fixed by the curl calibration: the right
     pos-curl has intertwiner q^{-3} Id, compensated by gamma = +1.
     ``flip_sign`` selects the rejected opposite convention (used as a
-    negative control).
+    negative control).  ``states`` is boundary_states(d), when the caller
+    has it.
     """
-    states = boundary_states(d)
+    if states is None:
+        states = boundary_states(d)
     gamma = 0
     for s, state in zip(d.slices, states):
         if s.kind in ("pos", "neg"):

@@ -7,6 +7,7 @@ import json
 import os
 import tempfile
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -511,6 +512,24 @@ class TestReports:
         report = json.loads(out)
         assert report["homology"]["0,0"] == "1"
         assert "knot_homology_series" in report
+
+
+class TestJsonable:
+    def test_leaves_keys_and_order(self):
+        # ints, strs, bools and None pass through as they are; floats and
+        # Fractions become strings, tuple keys "a,b", and keys are sorted
+        report = {(2, 1): [True, 1.5, Fraction(1, 3), None, "s", 7],
+                  "b": False, (1,): {3: Fraction(4)}, "a": (0.25, -2)}
+        got = cli._jsonable(report)
+        assert got == {"1": {"3": "4"}, "2,1": [True, "1.5", "1/3", None,
+                                                "s", 7],
+                       "a": ["0.25", -2], "b": False}
+        assert list(got) == ["1", "2,1", "a", "b"]
+        assert got["2,1"][0] is True and got["b"] is False
+        assert type(got["2,1"][5]) is int and type(got["a"][1]) is int
+        assert json.dumps(got, sort_keys=True) == (
+            '{"1": {"3": "4"}, "2,1": [true, "1.5", "1/3", null, "s", 7], '
+            '"a": ["0.25", -2], "b": false}')
 
 
 class TestDeterminism:

@@ -11,13 +11,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle import invariant
+from qtangle import invariant, tangle
 from qtangle.intertwiner import Intertwiner, inclusion, projection
 from qtangle.invariant import (MAX_STATE, DiagramTooLarge, _Local, _State,
-                               _apply_all, _apply_local, _basis_states,
-                               _coloured_local, _cut_column, _element,
-                               _finish, _index, _key, _phi_coloured_once,
-                               _slice_key, _theta,
+                               _apply_local, _coloured_local, _columns,
+                               _cut_column, _finish, _index, _key, _key_bits,
+                               _phi_coloured_once, _slice_key, _theta, _walk,
                                link_invariant, normalized_invariant,
                                phi_coloured, verify_invariance)
 from qtangle.packing import pack, width
@@ -73,6 +72,11 @@ def to_state(x: ModuleElement) -> _State:
     return _State(x.colours, {
         _key(idx, x.colours): pack(c.coeffs, bits) << bits * (c.min_deg - base)
         for idx, c in x.coords}, base, bits, bound)
+
+
+def element(x: _State) -> ModuleElement:
+    """The one column of a state of the empty source, unpacked."""
+    return _finish((), x).column(())
 
 
 def up(colours) -> tuple[BoundaryPoint, ...]:
@@ -132,9 +136,9 @@ class TestFramingCalibration:
 
     @pytest.mark.parametrize("prec", [16, 48])
     def test_framing_shift_equals_the_product(self, prec):
-        # normalized_invariant shifts every entry by 3 gamma; the series
-        # product by q^(3 gamma) is the oracle.  The precision it is given
-        # is ignored
+        # normalized_invariant moves the packed state's base by 3 gamma; the
+        # series product by q^(3 gamma) is the oracle.  The precision it is
+        # given is ignored
         framed = 0
         for seed in range(60):
             rng = random.Random(seed)
@@ -258,18 +262,17 @@ def whole(d: ColouredDiagram) -> tuple[LaurentSeries, list[int]]:
     """A closed diagram evaluated with no cut: every slice, its first cup
     too, on the one state of the empty boundary; with the nnz of each
     state it passes through."""
-    columns, sizes = _basis_states(()), []
+    x, sizes = _columns(()), []
     for s, state in zip(d.slices, boundary_states(d)):
-        columns = _apply_all(_coloured_local(*_slice_key(s, state)), s.pos,
-                             columns)
-        sizes.append(len(columns[()].coords))
-    return _finish((), (), columns).scalar(), sizes
+        x = _apply_local(_coloured_local(*_slice_key(s, state)), s.pos, x)
+        sizes.append(len(x.coords))
+    return _finish((), x).scalar(), sizes
 
 
 def every_column(d: ColouredDiagram) -> list[LaurentSeries]:
     """The closed diagram's value from each column k = 0..m of its cut."""
-    states = boundary_states(d)
-    return [_phi_coloured_once(d, states, k).scalar()
+    walk = _walk(d)
+    return [_phi_coloured_once(d, walk, k).scalar()
             for k in range(d.slices[0].colour + 1)]
 
 
@@ -342,12 +345,12 @@ class TestCut:
         ids=["figure8", "plat", "braid-down-cups"])
     def test_the_column_rule_takes_the_lighter_extreme(self, d, apply_sizes):
         # _cut_column picks m or 0 by the first crossing on the cut
-        states = boundary_states(d)
+        walk = _walk(d)
         m = d.slices[0].colour
         work = {}
         for k in (0, m):
             apply_sizes.clear()
-            _phi_coloured_once(d, states, k)
+            _phi_coloured_once(d, walk, k)
             work[k] = sum(apply_sizes)
         assert work[_cut_column(d)] < work[m - _cut_column(d)]
 
@@ -371,6 +374,67 @@ class TestCut:
         for m in range(1, 13):
             value = link_invariant(parse(f"bottom\ncup 1 {m} d\ncap 1\n"))
             assert value == quantum_integer(m + 1).scale((-1) ** m), m
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """Calls of _apply_local, of _phi_coloured_once, and walks: calls of
+    boundary_states under the name either module looks up."""
+    calls = {"apply": 0, "pass": 0, "walk": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kw):
+            calls[name] += 1
+            return fn(*args, **kw)
+        return wrapper
+    monkeypatch.setattr(invariant, "_apply_local",
+                        counted("apply", invariant._apply_local))
+    monkeypatch.setattr(invariant, "_phi_coloured_once",
+                        counted("pass", invariant._phi_coloured_once))
+    walk = counted("walk", tangle.boundary_states)
+    monkeypatch.setattr(invariant, "boundary_states", walk)
+    monkeypatch.setattr(tangle, "boundary_states", walk)
+    return calls
+
+
+def open_corpus() -> list[ColouredDiagram]:
+    """Open tangles with more than one column and at least one slice."""
+    out = [parse("bottom +2 -1 +1\npos 1\ncup 2 1 u\nneg 3\ncap 1\n"),
+           parse("bottom +4 +4 -4 +4\npos 1\npos 2\nneg 3\n")]
+    for seed in range(20):
+        rng = random.Random(seed)
+        colours = 1 + seed % 3
+        bottom = [BoundaryPoint(rng.randint(1, colours), rng.random() < 0.5)
+                  for _ in range(rng.randint(1, 3))]
+        out.append(random_diagram(bottom, 5, colours, seed, max_width=6))
+    return out
+
+
+class TestPassStructure:
+    """Every column of an open tangle goes through each slice in one
+    _apply_local call, and each evaluation walks its diagram once."""
+
+    def test_open_tangles_apply_each_slice_once(self, passes):
+        for d in open_corpus():
+            for key in passes:
+                passes[key] = 0
+            normalized_invariant(d)
+            assert passes == {"apply": len(d.slices), "pass": 1,
+                              "walk": 1}, d.name
+
+    def test_closed_links_walk_once(self, passes):
+        for d in cut_corpus():
+            for key in passes:
+                passes[key] = 0
+            link_invariant(d)
+            assert passes == {"apply": len(d.slices) - 1, "pass": 1,
+                              "walk": 1}, d.name
+
+    def test_phi_coloured_makes_one_pass(self, passes):
+        for d in open_corpus() + list(cut_corpus()[:5]):
+            passes["pass"] = 0
+            phi_coloured(d)
+            assert passes["pass"] == 1, d.name
 
 
 class TestSizeGuard:
@@ -484,21 +548,22 @@ def cabled_map(kind: str, colours: tuple[int, ...],
     # every slice map preserves weight, so a source vector of a weight the
     # target lacks (any but 0 under a cap) maps to zero
     weights = {weight(tgt, j) for j in basis_indices(tgt)}
-    columns = {idx: v for idx, v in _basis_states(src).items()
-               if weight(src, idx) in weights}
+    x, b = _columns(src), _key_bits(src)
+    x = x._replace(coords={key: p for key, p in x.coords.items()
+                           if weight(src, _index(key >> b, src)) in weights})
     # lifts right to left and readouts left to right, so that the factors
     # not yet expanded or already collapsed keep one slot each
     for j in reversed(range(len(src))):
         if src[j] > 1:
             into = lift(src[j]) if src_down[j] else inclusion(src[j])
-            columns = _apply_all(to_local(into), j + 1, columns)
+            x = _apply_local(to_local(into), j + 1, x)
     for s in cable(piece).slices:
-        columns = _apply_all(to_local(slice_mid(s.kind)), s.pos, columns)
+        x = _apply_local(to_local(slice_mid(s.kind)), s.pos, x)
     for j, m in enumerate(tgt):
         if m > 1:
             out = projection(m) if tgt_down[j] else readout(m)
-            columns = _apply_all(to_local(out), j + 1, columns)
-    return _finish(src, tgt, columns)
+            x = _apply_local(to_local(out), j + 1, x)
+    return _finish(src, x)
 
 
 def local_map(kind: str, colours: tuple[int, ...],
@@ -534,7 +599,7 @@ class TestClosedFormSliceMaps:
         x = seeded_state(random.Random(seed), (1,) + local.source + (1,))
         full = positioned(cabled_map(kind, colours, down), 2,
                           len(x.colours))
-        assert _element(_apply_local(local, 2, to_state(x))) == \
+        assert element(_apply_local(local, 2, to_state(x))) == \
             full.apply(x), (kind, colours, down, seed)
 
     @pytest.mark.parametrize("seed", [8, 24])
@@ -584,7 +649,7 @@ def seeded_state(rng: random.Random, colours, scale: int = 1) -> ModuleElement:
 
 
 def local_apply(mid: Intertwiner, i: int, x: ModuleElement) -> ModuleElement:
-    return _element(_apply_local(to_local(mid), i, to_state(x)))
+    return element(_apply_local(to_local(mid), i, to_state(x)))
 
 
 # the colour-1 slices, the projections and inclusions, and one coloured
@@ -646,7 +711,7 @@ class TestApplyLocal:
             for seed in range(12):
                 x = seeded_state(random.Random(seed), colours, scale)
                 packed = _apply_local(to_local(mid), i, to_state(x))
-                got = _element(packed)
+                got = element(packed)
                 assert got == full.apply(x), (name, i, seed)
                 entries += len(got.coords)
                 wider += packed.bits > to_state(x).bits

@@ -30,6 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qtangle import invariant
 from qtangle.intertwiner import Intertwiner
 from qtangle.invariant import link_invariant, phi_coloured
 from qtangle.qseries import LaurentSeries, quantum_integer
@@ -489,6 +490,50 @@ class TestOpenTangles:
         down = parse("bottom +2 -2\npos 1\n")
         assert phi_coloured(up) != phi_coloured(down)
         assert composite(up) != composite(down)
+
+
+class TestBatchedColumns:
+    """Edge cases of the one state that carries every column of an open
+    tangle, against the full-width composite."""
+
+    def test_mixed_colours_repack_mid_pass(self, monkeypatch):
+        # columns on a colour-6 point and on colour-1 points end with 1 to 4
+        # entries; twelve colour-6 circles, [7] each, outgrow 32-bit digits
+        # while crossings still follow
+        widths = []
+        repack = invariant._repack
+
+        def recorded(x, norm):
+            y = repack(x, norm)
+            widths.append((x.bits, y.bits))
+            return y
+        monkeypatch.setattr(invariant, "_repack", recorded)
+        d = parse("bottom +1 +6 -1\npos 1\nneg 2\n" +
+                  "cup 4 6 u\ncap 4\n" * 12 + "pos 1\npos 2\n")
+        value = phi_coloured(d)
+        assert value == composite(d)
+        assert len(value.columns) == 28
+        assert {len(img.coords) for _, img in value.columns} == {1, 2, 3, 4}
+        assert any(after > before for before, after in widths)
+
+    def test_vanishing_columns_stay_absent(self):
+        # the cap kills every column but those of weight 0
+        d = parse("bottom +2 -2\ncap 1\n")
+        value = phi_coloured(d)
+        assert value == composite(d)
+        assert [idx for idx, _ in value.columns] == [(0, 2), (1, 1), (2, 0)]
+
+    def test_no_slices_is_the_identity(self):
+        d = parse("bottom +2 -1 +3\n")
+        assert phi_coloured(d) == composite(d) == \
+            Intertwiner.identity((2, 1, 3))
+
+    def test_a_cup_on_the_empty_bottom_is_one_column(self):
+        d = parse("bottom\ncup 1 3 u\n")
+        value = phi_coloured(d)
+        assert value == composite(d)
+        assert [idx for idx, _ in value.columns] == [()]
+        assert len(value.columns[0][1].coords) == 4
 
 
 class TestExactEntries:
