@@ -49,12 +49,12 @@ MAX_PRECISION = 1024
 # the largest --n of verify jones-wenzl, whose maps are exact at any
 # --precision: p_n has 4^n entries, and p o p pairs up to 8^n of them.  In
 # a fresh process on a 2-core VM (Python 3.11), n = 1..7 take 0.3-0.4 s,
-# n = 1..8 1.1-1.2 s and n = 1..9 4.7-4.8 s, most of it in charJW_check's
+# n = 1..8 1.1-1.5 s and n = 1..9 5.2-6.4 s, most of it in charJW_check's
 # compositions
 MAX_JONES_WENZL_N = 8
 # the largest --n of verify slides: in a fresh process on the same VM
-# slides takes 0.8-1.0 s at n = 8 and 2.4-3.2 s at n = 9; each step up
-# multiplies the work by about 3
+# slides takes 0.6-0.9 s at n = 8, 1.5-2.2 s at n = 9 and 6.5-7.3 s at
+# n = 10; each step up multiplies the work by about 3
 MAX_SLIDES_N = 9
 
 _MOVES = {m.value: m for m in MoveKind}

@@ -259,6 +259,9 @@ class WolffhardtComplex:
         """Verify d^2 = 0 and that homology sits in degree 0, equal to H."""
         hh = TensorSquare(self.H)
         report: dict = {"d_squared_zero": True, "homology": {}}
+        # the same pairs of coefficients recur across generators: each
+        # product is formed once
+        products: dict[tuple[Poly, Poly], Poly] = {}
         for h in range(self.h_bound, -1):
             if h + 2 > 0:
                 continue
@@ -266,8 +269,11 @@ class WolffhardtComplex:
                 acc: dict[Generator, Poly] = {}
                 for g1, coeff in img.items():
                     for g2, coeff2 in self.differentials[h + 1].get(g1, {}).items():
+                        p = products.get((coeff, coeff2))
+                        if p is None:
+                            p = products[coeff, coeff2] = coeff * coeff2
                         prev = acc.get(g2, Poly.zero(2 * self.H.k))
-                        acc[g2] = prev + coeff * coeff2
+                        acc[g2] = prev + p
                 for total in acc.values():
                     if hh.reduce(total):
                         report["d_squared_zero"] = False

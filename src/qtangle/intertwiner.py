@@ -292,6 +292,13 @@ def nested_cups(n: int) -> Intertwiner:
                                           for k in range(1, n + 1)))
 
 
+def _dp(gen, k, x, lo, hi):
+    """uqsl2.divided_power_act_closed, looked up at call time, where the
+    benchmark's tracer hooks it."""
+    from .uqsl2 import divided_power_act_closed
+    return divided_power_act_closed(gen, k, x, lo, hi)
+
+
 def slide_identity_checks(n: int, k: int) -> bool:
     """Verify the four divided-power slide identities against C_n:
 
@@ -301,39 +308,31 @@ def slide_identity_checks(n: int, k: int) -> bool:
     (1_{-n+2k} (x) 1) C_n = (1 (x) 1_{n-2k}) C_n
 
     Every term is exact: C_n, the closed divided powers, K powers and
-    weight projections, so each side is compared with ==.
+    weight projections, so each side is compared with ==.  The third
+    identity does not involve k, so it is checked once per n
+    (_full_power_slide).
     """
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
     c = nested_cups(n).column(())
     ok = True
 
-    def dp(gen, kk, x, lo, hi):
-        from .uqsl2 import divided_power_act_closed
-        return divided_power_act_closed(gen, kk, x, lo, hi)
-
     # F slide
-    lhs = dp("F", k, c, 0, n)
-    rhs = dp("F", k, c, n, 2 * n)
+    lhs = _dp("F", k, c, 0, n)
+    rhs = _dp("F", k, c, n, 2 * n)
     rhs = k_power(rhs, k, 0, n)
     sign = -1 if k % 2 else 1
     rhs = rhs.scale(LaurentSeries.monomial(k * (k - 1), sign))
     ok = ok and lhs == rhs
 
     # E slide
-    lhs = dp("E", k, c, 0, n)
-    rhs = dp("E", k, c, n, 2 * n)
+    lhs = _dp("E", k, c, 0, n)
+    rhs = _dp("E", k, c, n, 2 * n)
     rhs = k_power(rhs, k, n, 2 * n)
     rhs = rhs.scale(LaurentSeries.monomial(-k * (k - 1), sign))
     ok = ok and lhs == rhs
 
-    # full divided power across the cups
-    lhs = dp("F", n, c, 0, n)
-    lhs = dp("E", n, lhs, 0, n)
-    rhs = k_power(k_power(c, n, 0, n), n, n, 2 * n)
-    rhs = dp("E", n, rhs, n, 2 * n)
-    rhs = dp("F", n, rhs, n, 2 * n)
-    ok = ok and lhs == rhs
+    ok = ok and _full_power_slide(n)
 
     # weight projector slide
     def project_range(x, mu, lo, hi):
@@ -346,6 +345,18 @@ def slide_identity_checks(n: int, k: int) -> bool:
     rhs = project_range(c, n - 2 * k, n, 2 * n)
     ok = ok and lhs == rhs
     return ok
+
+
+@lru_cache(maxsize=None)
+def _full_power_slide(n: int) -> bool:
+    """The full divided power across the cups, the third identity of
+    slide_identity_checks: (E^{(n)} F^{(n)} (x) 1) C_n =
+    (1 (x) F^{(n)} E^{(n)}) (K^n (x) K^n) C_n."""
+    c = nested_cups(n).column(())
+    lhs = _dp("E", n, _dp("F", n, c, 0, n), 0, n)
+    rhs = k_power(k_power(c, n, 0, n), n, n, 2 * n)
+    rhs = _dp("F", n, _dp("E", n, rhs, n, 2 * n), n, 2 * n)
+    return lhs == rhs
 
 
 # -- checks -------------------------------------------------------------------
@@ -373,8 +384,9 @@ def charJW_check(p: Intertwiner) -> bool:
     """The integral Jones-Wenzl identities, exactly: p o p is p with column
     a scaled by [n, |a|], and p kills every turnback C_{i,n} on both sides.
 
-    The turnbacks come from the evaluator, which keeps 2^n states of up to
-    2^n entries for one, so its MAX_STATE refuses them from n = 11 on.
+    The turnbacks come from the evaluator, whose state for one holds 2^n
+    columns, each within the weight space of its source index: C(2n, n)
+    entries in all, so its MAX_STATE refuses them from n = 12 on.
     """
     if p.source != p.target or any(d != 1 for d in p.source):
         raise ValueError("expected an endomorphism of V_1^{(x) n}")

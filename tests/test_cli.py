@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle import cli
+from qtangle import cli, intertwiner
 from qtangle.cli import (EXIT_OK, EXIT_PARSE, EXIT_USAGE, EXIT_VALIDATE,
                          EXIT_VERIFY, MAX_JONES_WENZL_N, MAX_PRECISION,
                          MAX_SLIDES_N, MIN_PRECISION, PRECISION_ENV,
@@ -468,6 +468,17 @@ class TestVerify:
                                     "--precision", "24"])
         assert code == EXIT_OK
         assert out.count("PASS") == 3
+
+    def test_slides_fail_where_the_full_power_slide_fails(self, capsys,
+                                                          monkeypatch):
+        # negative control: the identity checked once per n is part of
+        # every (n, k) check of the report
+        monkeypatch.setattr(intertwiner, "_full_power_slide", lambda n: False)
+        code, out, _ = run(capsys, ["verify", "slides", "--n", "3", "--json"])
+        assert code == EXIT_VERIFY
+        report = json.loads(out)
+        assert len(report["checks"]) == 6 and not report["ok"]
+        assert not any(c["ok"] for c in report["checks"])
 
 
 class TestReports:

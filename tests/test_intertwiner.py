@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qtangle import intertwiner
+from qtangle import intertwiner, uqsl2
 from qtangle.intertwiner import (Intertwiner, _evaluate, _turnback_word,
                                  charJW_check, inclusion, is_intertwiner,
                                  jones_wenzl, jones_wenzl_divided, nested_cups,
@@ -237,6 +237,17 @@ class TestNestedCupsAndSlides:
     def test_slide_identities(self, n):
         for k in range(1, n + 1):
             assert slide_identity_checks(n, k)
+
+    def test_a_slide_sweep_reuses_the_tables(self):
+        # the slot-range terms of the divided powers are read again within
+        # the sweep, and the identity that does not involve k is checked
+        # once for n = 4
+        uqsl2._compositions.cache_clear()
+        intertwiner._full_power_slide.cache_clear()
+        assert all(slide_identity_checks(4, k) for k in range(1, 5))
+        assert uqsl2._compositions.cache_info().hits > 0
+        info = intertwiner._full_power_slide.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
 
 
 class TestAlgebraOfMaps:

@@ -459,6 +459,15 @@ class TestSizeGuard:
             assert _coloured_local.cache_info().currsize == 0
             assert binomial_row.cache_info().currsize == 0
 
+    def test_states_are_counted_by_weight(self, monkeypatch):
+        # the closure's widest level has 6^8 basis vectors, over the limit,
+        # but its one column reaches only the 135,954 of weight 0
+        d = parse(braid_closure([1, 2, 3], [5] * 4))
+        assert 6 ** 8 > MAX_STATE
+        value = link_invariant(d)
+        monkeypatch.setattr(invariant, "MAX_STATE", 6 ** 8)
+        assert link_invariant(d) == value
+
     def test_open_tangles_count_a_state_per_column(self):
         # 1001^2 columns of 1001^2 basis vectors each, refused at once; 1001
         # columns of 1001 pass

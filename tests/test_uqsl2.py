@@ -37,6 +37,25 @@ def integer_element(draw):
                       max_size=4))) for idx in support})
 
 
+@st.composite
+def range_element(draw):
+    """(x, lo, hi): an element whose entries agree on slots lo..hi-1 and
+    differ outside them, with integer coefficients."""
+    v = draw(coloured_basis_vector())
+    colours, ((idx, _),) = v.colours, v.coords
+    lo = draw(st.integers(min_value=0, max_value=len(colours)))
+    hi = draw(st.integers(min_value=lo, max_value=len(colours)))
+    outside = colours[:lo] + colours[hi:]
+    rests = draw(st.lists(st.tuples(*(st.integers(min_value=0, max_value=d)
+                                      for d in outside)),
+                          min_size=1, max_size=4, unique=True))
+    x = ModuleElement.make(colours, {
+        r[:lo] + idx[lo:hi] + r[lo:]: LaurentSeries.monomial(
+            draw(st.integers(-3, 3)), draw(st.sampled_from([-2, -1, 1, 3])))
+        for r in rests})
+    return x, lo, hi
+
+
 def weight_projector(mu: int, x: ModuleElement) -> ModuleElement:
     """The part of x of weight mu."""
     return ModuleElement.make(
@@ -178,19 +197,21 @@ class TestDividedPowers:
             idx[:lo] + j + idx[hi:]: c for j, c in x.coords})
 
     @settings(max_examples=30, deadline=None)
-    @given(coloured_basis_vector(), st.sampled_from(["E", "F"]),
-           st.integers(min_value=0, max_value=3), st.data())
-    def test_closed_form_matches_iterated_action(self, v, gen, k, data):
+    @given(range_element(), st.sampled_from(["E", "F"]),
+           st.integers(min_value=0, max_value=3))
+    def test_closed_form_matches_iterated_action(self, drawn, gen, k):
         # the generator applied k times is [k]! times the divided power, on
-        # any slot range
-        n = len(v.colours)
-        lo = data.draw(st.integers(min_value=0, max_value=n))
-        hi = data.draw(st.integers(min_value=lo, max_value=n))
-        got = divided_power_act_closed(gen, k, v, lo, hi)
-        assert self.iterated(gen, k, v, lo, hi) == got.scale(
-            quantum_factorial(k))
-        if (lo, hi) == (0, n):
-            assert got == divided_power_act_closed(gen, k, v)
+        # any slot range, entry by entry; the entries share their indices
+        # on the range, so all but the first read tabulated terms
+        x, lo, hi = drawn
+        got = divided_power_act_closed(gen, k, x, lo, hi)
+        want = ModuleElement.zero(x.colours)
+        for idx, c in x.coords:
+            v = ModuleElement.basis_vector(x.colours, idx)
+            want = want + self.iterated(gen, k, v, lo, hi).scale(c)
+        assert want == got.scale(quantum_factorial(k))
+        if (lo, hi) == (0, len(x.colours)):
+            assert got == divided_power_act_closed(gen, k, x)
 
     @pytest.mark.parametrize("gen", ["E", "F"])
     def test_closed_form_on_every_vector_and_range(self, gen):
