@@ -364,11 +364,13 @@ class DiagramTooLarge(ValueError):
 # the state holds at most sum over w of (source indices of weight w) x
 # (level indices of weight w) entries at its widest level.  _check_size
 # counts that only when the cruder product columns x prod(m_i + 1) of the
-# widest level is over the limit.  The colour-5 closure of the braid
-# s1 s2 s3 (1,679,616 by the product, 135,954 by weight) passes; the three
-# nested colour-30 cups (15,753,487 of weight 0) do not, and the colour-10
-# braid figure-eight, whose weight-0 space passes, is still refused by
-# MAX_MAP_SIZE (269,434 coefficients)
+# widest level is over the limit, and only when the count is cheap (at most
+# _WEIGHT_STEPS window sums); past that it refuses by the product.  The
+# colour-5 closure of the braid s1 s2 s3 (1,679,616 by the product, 135,954
+# by weight) passes; the three nested colour-30 cups (15,753,487 of weight
+# 0) do not, nor does `bottom +1000000`, refused by the product before any
+# count.  The colour-10 braid figure-eight, whose weight-0 space passes, is
+# still refused by MAX_MAP_SIZE (269,434 coefficients)
 MAX_STATE = 2 ** 20
 
 # the most closed-form map phi_coloured builds, summed over the distinct
@@ -382,6 +384,11 @@ MAX_STATE = 2 ** 20
 # with no guard, the colour-200 unknot peaks at 27 MB and the colour-400
 # one at 105 MB.
 MAX_MAP_SIZE = 2 ** 18
+
+# the most window sums _check_size spends counting states by weight: a
+# tuple of colours costs at most len x (sum + 1), about 10 ms at the limit
+# (Python 3.11.7 on a 2-core Xeon)
+_WEIGHT_STEPS = 2 ** 16
 
 
 def _slice_key(s: Slice, state: list[BoundaryPoint]) -> tuple:
@@ -437,25 +444,32 @@ def _weight_counts(colours) -> dict[int, int]:
 
 
 def _check_size(d: ColouredDiagram, walk: _Walk) -> None:
-    size = max(_radix(tuple(p.colour for p in state))
-               for state in walk.states)
-    columns = _radix(tuple(p.colour for p in d.bottom))
-    if size * columns > MAX_STATE:
-        # the finer count of MAX_STATE's comment, level by level, until
-        # one level is over the limit
-        source = _weight_counts([p.colour for p in d.bottom])
-        for state in walk.states:
-            level = _weight_counts([p.colour for p in state])
-            size = sum(c * level.get(w, 0) for w, c in source.items())
-            if size > MAX_STATE:
-                raise DiagramTooLarge(
-                    f"slice states of up to {size} entries, counted by "
-                    f"weight, are over the limit of {MAX_STATE}")
     size = sum(_map_size(kind, colours) for kind, colours, _ in set(walk.keys))
     if size > MAX_MAP_SIZE:
         raise DiagramTooLarge(
             f"slice maps of about {size} coefficients "
             f"are over the limit of {MAX_MAP_SIZE}")
+    source = tuple(p.colour for p in d.bottom)
+    levels = dict.fromkeys(tuple(p.colour for p in state)
+                           for state in walk.states)
+    size = max(_radix(colours) for colours in levels)
+    columns = _radix(source)
+    if size * columns <= MAX_STATE:
+        return
+    if sum(len(c) * (sum(c) + 1) for c in {source, *levels}) > _WEIGHT_STEPS:
+        raise DiagramTooLarge(
+            f"{columns} slice states of up to {size} basis vectors "
+            f"are over the limit of {MAX_STATE}")
+    # the finer count of MAX_STATE's comment, level by level, until one
+    # level is over the limit
+    counts = _weight_counts(source)
+    for colours in levels:
+        level = _weight_counts(colours)
+        size = sum(c * level.get(w, 0) for w, c in counts.items())
+        if size > MAX_STATE:
+            raise DiagramTooLarge(
+                f"slice states of up to {size} entries, counted by "
+                f"weight, are over the limit of {MAX_STATE}")
 
 
 def phi_coloured(d: ColouredDiagram, *, walk: _Walk | None = None,

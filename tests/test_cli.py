@@ -137,6 +137,19 @@ class TestEval:
         assert code == EXIT_VALIDATE and out == ""
         assert err.count("\n") == 1 and "over the limit" in err
 
+    @pytest.mark.parametrize("text", ["bottom +10000000\n",
+                                      "bottom\ncup 1 10000000 u\ncap 1\n"])
+    def test_huge_colour_exit_3_at_once(self, capsys, tmp_path, text):
+        # no bound on a colour in the file: the guard answers by the product
+        # or the map size, without a count over ten million weights
+        f = tmp_path / "huge.tangle"
+        f.write_text(text)
+        t0 = time.monotonic()
+        code, out, err = run(capsys, ["eval", str(f)])
+        assert time.monotonic() - t0 < 1
+        assert code == EXIT_VALIDATE and out == ""
+        assert err.count("\n") == 1 and "over the limit" in err
+
     def test_oversized_maps_exit_3_at_once(self, capsys, tmp_path):
         # the colour-1000 unknot passes the state limit, not the map limit
         f = tmp_path / "big.tangle"

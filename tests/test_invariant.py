@@ -468,6 +468,21 @@ class TestSizeGuard:
         monkeypatch.setattr(invariant, "MAX_STATE", 6 ** 8)
         assert link_invariant(d) == value
 
+    @pytest.mark.parametrize("text", [
+        "bottom +1000000\n", "bottom +10000000\n", "bottom +1000000000\n",
+        "bottom\ncup 1 10000000 u\ncap 1\n"])
+    def test_huge_colours_are_refused_without_a_count(self, text,
+                                                      monkeypatch):
+        # the cup's map is over MAX_MAP_SIZE; the strands' weights would
+        # take a window sum per weight, so the product refuses them
+        def no_count(colours):
+            raise AssertionError("counted by weight")
+        monkeypatch.setattr(invariant, "_weight_counts", no_count)
+        t0 = time.monotonic()
+        with pytest.raises(DiagramTooLarge, match="over the limit"):
+            phi_coloured(parse(text))
+        assert time.monotonic() - t0 < 1
+
     def test_open_tangles_count_a_state_per_column(self):
         # 1001^2 columns of 1001^2 basis vectors each, refused at once; 1001
         # columns of 1001 pass
